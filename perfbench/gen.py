@@ -31,7 +31,7 @@ CONE_RADIUS = 1.0
 # cone rows; 0 finishes in about 4 rounds, 1 in about 15, 2 in about 30.
 # Most models are easy, so the median call falls inside that class.
 CONE_MIX = {0: 14, 1: 5, 2: 6}
-CONE_ATTEMPTS = 100
+CONE_ATTEMPTS = 400  # seeds 0-30 needed at most 97 draws to fill the mix
 TWOSTAGE_SETS = ("box", "cross", "budget", "minkowski", "intersect")
 TWOSTAGE_DIM = 3
 TWOSTAGE_SHAPE = (3, 4)  # first-stage / recourse pairs, demand rows
