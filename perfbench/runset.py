@@ -1,15 +1,19 @@
 """Result sets: run the benchmark over many seeds, and compare two sets.
 
     python3 perfbench/runset.py run --out perfbench/results/A --seeds 1-10
-            [--workloads signrow,cone] [--trace 0|1] [--seconds N]
+            [--workloads signrow,cone] [--trace 0|1]
     python3 perfbench/runset.py compare perfbench/results/A [perfbench/results/B]
 
-`run` calls run.py once per workload and seed and keeps each run's result
-line as <workload>-seed<n>-trace<t>.json.  `compare` prints, per workload
-and metric, the median and quartiles of each set, the spread (quartile
-distance over the median) and, given two sets, the change of the median
-from A to B with its verdict against the bound in BENCHMARK.json.  For
-per-layer counts, which repeat exactly, it says whether the sets agree.
+`run` calls run.py once per workload and seed, for BENCHMARK.json's
+run_seconds, and keeps each run's result line as
+<workload>-seed<n>-trace<t>.json.  `compare` prints, per workload and
+metric, the median and quartiles of each set, the spread (quartile distance
+over the median) and, given two sets, the change of the median from A to B
+with its verdict against the bound in BENCHMARK.json.  When either set's
+spread exceeds the bound the verdict is "unresolved", since such a set
+cannot tell a change of that size from noise, unless every run of B reads
+better than every run of A.  For per-layer counts, which repeat
+exactly, it says whether the sets agree.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ def run_set(args, bench) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     status = 0
     for workload in workloads:
         for seed in _seeds(args.seeds):
@@ -113,14 +117,21 @@ def compare(args, bench) -> int:
                     continue
                 mb, q1b, q3b, spread_b = _summary(vb)
                 line += f" | B {mb:12.6g} [{q1b:.6g}, {q3b:.6g}] spread {spread_b:6.3f}"
+                if bound is not None and spread_b > bound:
+                    line += " UNSTEADY"
                 if m.get("unit") in ("count", "bytes", "ratio") and "bound" not in m:
                     line += " | same" if va == vb else " | DIFFERS"
                 elif med:
+                    lower = m.get("better") == "lower"
                     change = (mb - med) / abs(med)
-                    worse_by = change if m.get("better") == "lower" else -change
+                    worse_by = change if lower else -change
                     line += f" | change {change:+.3f}"
                     if bound is not None:
-                        verdict = "WORSE" if worse_by > bound else "within bound"
+                        if max(spread, spread_b) > bound:
+                            every_run_better = (max(vb) < min(va)) if lower else (min(vb) > max(va))
+                            verdict = "every B run better" if every_run_better else "unresolved"
+                        else:
+                            verdict = "WORSE" if worse_by > bound else "within bound"
                         worse += verdict == "WORSE"
                         line += f" ({verdict}, bound {bound})"
             print(line)
@@ -135,7 +146,6 @@ def main(argv=None) -> int:
     r.add_argument("--seeds", default="1-10")
     r.add_argument("--workloads")
     r.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    r.add_argument("--seconds", type=int)
     c = sub.add_parser("compare")
     c.add_argument("a")
     c.add_argument("b", nargs="?")

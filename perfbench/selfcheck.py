@@ -8,6 +8,8 @@
    answers: the nominal (non-robust) optimum of a signrow model, an
    objective off by 1e-3 relative, and an emitted LP whose optimum is off
    by 1e-3 relative.
+3. The tracer survives a stage result without the fields it counts: the
+   call returns, and the counters it feeds read as missing.
 
 Exits 0 when every check holds.
 """
@@ -24,6 +26,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -36,6 +39,7 @@ from scipy.optimize import linprog  # noqa: E402
 import gen  # noqa: E402
 from ref import RefError, reference  # noqa: E402
 from run import WORKLOADS, check_output  # noqa: E402
+from tracer import Tracer  # noqa: E402
 
 SEED = 7
 
@@ -65,6 +69,23 @@ def nominal(spec):
     res = linprog(c, A_ub=A, b_ub=b, bounds=[(lo, hi) for _, lo, hi in spec["vars"]],
                   method="highs")
     return -res.fun, dict(zip(names, res.x.tolist()))
+
+
+def tracer_survives_missing_fields() -> bool:
+    """A lower_norms whose result has no rows or vars: the call still returns."""
+    result = types.SimpleNamespace()
+    stub = types.SimpleNamespace(lower_norms=lambda model: result)
+    tracer = Tracer({"cli": stub, "solver": types.SimpleNamespace(),
+                     "verify": types.SimpleNamespace()})
+    tracer.install()
+    try:
+        returned = stub.lower_norms(None)
+    finally:
+        tracer.uninstall()
+    layers = tracer.pass_metrics(0.0)
+    return returned is result and all(layers[name] is None for name in
+                                      ("lower.vars", "lower.rows", "lower.nnz",
+                                       "lower.cone_rows"))
 
 
 def main() -> int:
@@ -132,6 +153,8 @@ def main() -> int:
                _rejects("signrow", spec, answer, out))
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    record("the tracer reports missing counters instead of failing the call",
+           tracer_survives_missing_fields())
     print(f"{sum(checks)} of {len(checks)} self-checks hold")
     return 0 if all(checks) else 1
 

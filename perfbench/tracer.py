@@ -9,8 +9,11 @@ code calls them.
 
 Stage time is inclusive and counted for the outermost stage only; counts
 go to the layer of the innermost running stage, so an LP solved while
-parsing counts as a parser LP.  A counter whose source is gone (a function
-renamed away, a result field removed) is reported missing, not guessed.
+parsing counts as a parser LP.  `pessimize` called by the cutting-plane
+loop is a layer of its own for this: its inner LPs count as pessimization
+LPs, not as cutting-plane master LPs.  A counter whose source is gone (a
+function renamed away, a result field removed) is reported missing, not
+guessed; the traced call itself goes on.
 """
 from __future__ import annotations
 
@@ -56,6 +59,10 @@ METRICS = {
     "solver.cutplane_rounds": ("count", ("cli.cutting_plane_solve",)),
     "solver.pessimize_calls": ("count", ("cli.cutting_plane_solve", "solver.pessimize")),
     "solver.pessimize_s": ("s", ("cli.cutting_plane_solve", "solver.pessimize")),
+    "solver.pessimize_lp_solves": ("count", ("cli.cutting_plane_solve", "solver.pessimize",
+                                             "solver.simplex_solve")),
+    "solver.pessimize_pivots": ("count", ("cli.cutting_plane_solve", "solver.pessimize",
+                                          "solver.simplex_solve")),
     "verify.s": ("s", ("cli.verify_solution",)),
     "verify.points": ("count", ("cli.verify_solution", "verify.sample_set")),
     "verify.sample_yield": ("ratio", ("cli.verify_solution", "verify.sample_set",
@@ -67,7 +74,16 @@ METRICS = {
     "trace.overhead_s": ("s", ()),
 }
 
-PIVOT_LAYERS = ("solver.reformulate", "solver.cutplane")
+PIVOT_LAYERS = ("solver.reformulate", "solver.cutplane", "solver.pessimize")
+# stage -> the size metrics read from its arguments and result
+SIZE_METRICS = {
+    "apply_ldr": ("aro.vars_added",),
+    "robustify_model": ("rc.rows", "rc.norm_terms"),
+    "lower_norms": ("lower.vars", "lower.rows", "lower.nnz", "lower.cone_rows"),
+    "solve_deterministic": ("solver.cone_rounds",),
+    "cutting_plane_solve": ("solver.cutplane_rounds",),
+    "emit_lp": ("emit.lp_bytes",),
+}
 
 
 class Tracer:
@@ -83,7 +99,6 @@ class Tracer:
     def reset(self):
         self.time = defaultdict(float)
         self.count = defaultdict(int)
-        self._pess_depth = 0
         self._sample_depth = 0
         self._stress_depth = 0
         self._stress = 0
@@ -125,7 +140,11 @@ class Tracer:
                     self.stack.pop()
                     if not self.stack:
                         self.time[layer] += time.perf_counter() - start
-                self._sizes(name, args, out)
+                try:
+                    self._sizes(name, args, out)
+                except Exception:  # noqa: BLE001 - a changed result shape loses
+                    # the counts it feeds, never the program's own call
+                    self.missing.update(SIZE_METRICS.get(name, ()))
                 return out
             return wrapper
         return make
@@ -172,16 +191,19 @@ class Tracer:
         return wrapper
 
     def _pessimize(self, original):
+        # only the cutting-plane loop's pessimizations form this layer; the
+        # parser's and the verifier's (coordinate extremes) stay theirs
         def wrapper(*args, **kwargs):
-            self._pess_depth += 1
+            if not (self.stack and self.stack[-1] == "solver.cutplane"):
+                return original(*args, **kwargs)
+            self.stack.append("solver.pessimize")
             start = time.perf_counter()
             try:
                 return original(*args, **kwargs)
             finally:
-                self._pess_depth -= 1
-                if not self._pess_depth and self.stack and self.stack[-1] == "solver.cutplane":
-                    self.count["solver.pessimize_calls"] += 1
-                    self.time["solver.pessimize"] += time.perf_counter() - start
+                self.stack.pop()
+                self.count["solver.pessimize_calls"] += 1
+                self.time["solver.pessimize"] += time.perf_counter() - start
         return wrapper
 
     def _sample_set(self, original):
@@ -192,9 +214,13 @@ class Tracer:
                 out = original(*args, **kwargs)
             finally:
                 self._sample_depth -= 1
-            self.count["verify.points"] += len(out)
-            self.count["verify.requested"] += args[1] if len(args) > 1 else kwargs["n"]
-            self.count["verify.drawn"] += len(out) - self._stress
+            try:
+                requested = args[1] if len(args) > 1 else kwargs["n"]
+                self.count["verify.points"] += len(out)
+                self.count["verify.requested"] += requested
+                self.count["verify.drawn"] += len(out) - self._stress
+            except Exception:  # noqa: BLE001 - see _stage
+                self.missing.update(("verify.points", "verify.sample_yield"))
             return out
         return wrapper
 
@@ -233,6 +259,8 @@ class Tracer:
             "solver.cutplane_rounds": c["solver.cutplane_rounds"],
             "solver.pessimize_calls": c["solver.pessimize_calls"],
             "solver.pessimize_s": t["solver.pessimize"],
+            "solver.pessimize_lp_solves": c["solver.pessimize.lp_solves"],
+            "solver.pessimize_pivots": c["solver.pessimize.pivots"],
             "verify.s": t["verify"], "verify.points": c["verify.points"],
             "verify.sample_yield": (c["verify.drawn"] / c["verify.requested"]
                                     if c["verify.requested"] else 1.0),
