@@ -5,9 +5,9 @@
 
 The client is closed loop: it sends the next model only when the previous
 call has returned.  It runs whole passes over the plan's models until the
-run length is reached, so every run sees the same mix.  In traced runs,
-untraced and traced passes alternate; their difference is the tracing
-overhead.  This process imports nothing but `roc` and its dependencies, so
+run length is reached, so every run sees the same mix; pass k visits them in
+an order fixed by k.  In traced runs, untraced and traced passes alternate;
+their difference is the tracing overhead.  This process imports nothing but `roc` and its dependencies, so
 its peak RSS is the program's own.
 """
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import resource
 import statistics
 import sys
@@ -58,7 +59,10 @@ def run(plan: dict) -> dict:
             tracer.install()
         total = 0.0
         try:
-            for m in models:
+            # each pass visits the models in its own fixed order, so that the
+            # machine's slow stretches, which last seconds, fall on other
+            # models in every pass instead of on the same block of them
+            for m in random.Random(k).sample(models, len(models)):
                 argv = [plan["command"], m["path"], "-o", m["out"], *plan["args"]]
                 t0 = time.perf_counter()
                 code, err = _call(cli, argv)
