@@ -224,7 +224,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=["lp", "json"], default=None,
                     help="artifact format for lower/emit (default: json for lower, lp for emit)")
     ap.add_argument("--method", choices=["reformulate", "cutplane", "both"], default="both")
-    ap.add_argument("--tol", type=float, default=1e-6, help="oracle-gap tolerance")
+    ap.add_argument("--tol", type=float, default=1e-6, help="relative oracle-gap tolerance")
     ap.add_argument("--samples", type=int, default=1000, help="verification samples per row")
     ap.add_argument("--seed", type=int, default=42, help="verification RNG seed")
     ap.add_argument("--allow-soc-comment", action="store_true",

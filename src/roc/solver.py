@@ -1,7 +1,10 @@
 """LP solving and pessimization oracles.
 
-A dense two-phase primal simplex (Bland's anti-cycling rule) solves the
-lowered linear models.  Second-order-cone rows are handled by an outer
+A dense two-phase primal simplex solves the lowered linear models.  Its
+tableau is updated in place at each pivot and refactorized from the original
+data every REFACTOR_EVERY pivots and before every terminal decision; entering
+columns are priced by Dantzig's rule, with Bland's anti-cycling rule as the
+fallback on a repeated basis.  Second-order-cone rows are handled by an outer
 cutting loop on the master LP, and a pessimization-based cutting-plane loop
 solves canonical robust models directly, serving as the independent oracle
 for every reformulation.
@@ -19,6 +22,7 @@ from .errors import SolverError, UnsupportedSetError
 from .model import (EQ, INF, LE, LinExpr, MinkowskiSum, NormBall, Polyhedral,
                     UncertaintySet, VariableDecl, vector_norm)
 from .lower import DeterministicModel, LinRow
+from .rc import dual_norm
 
 log = logging.getLogger("roc")
 
@@ -28,6 +32,7 @@ DEGEN_TOL = 1e-11
 MAX_PIVOTS = 100_000
 MAX_ROUNDS = 500
 CUT_POOL = 30  # live cuts kept per cone / uncertain row
+REFACTOR_EVERY = 50  # in-place simplex pivots between refactorizations
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -128,13 +133,16 @@ class _StandardForm:
 
 
 class _Tableau:
-    """Simplex tableau refactorized from the original data at every pivot.
+    """Dense simplex tableau B^-1 [A | b] with reduced costs, updated in place.
 
-    Incremental tableau updates on ill-conditioned bases (e.g. masters full
-    of near-parallel cuts) accumulate enough floating error to corrupt both
-    the rhs column and the pivot selection.  Re-solving B^-1 [A | b] from
-    the untouched data after each basis change keeps every pivot decision at
-    roundoff accuracy; at desk scale the extra LU factorizations are cheap.
+    A pivot is a Gauss-Jordan rank-1 update of T.  Every REFACTOR_EVERY
+    pivots, and before every terminal decision (optimal, unbounded, phase-1
+    infeasibility, degenerate cycle), T is refactorized from the untouched
+    A_ext/b0 so that the drift of the updates never decides an outcome.  A
+    refactorization that finds the basis singular after in-place pivots
+    rolls back to the last factorized basis and refactorizes on every pivot
+    for the rest of the solve: on ill-conditioned masters (near-parallel
+    cuts) an updated tableau can pick a pivot that exact arithmetic rejects.
     """
 
     def __init__(self, A_ext: np.ndarray, b0: np.ndarray, basis: np.ndarray):
@@ -143,14 +151,33 @@ class _Tableau:
         self.basis = basis
         self.m = A_ext.shape[0]
         self.T = np.zeros((self.m + 1, A_ext.shape[1] + 1))
+        self.every = REFACTOR_EVERY
+        self.updates = 0  # in-place pivots since the last factorization
         self.rebuild(np.zeros(A_ext.shape[1]))
 
-    def rebuild(self, cost: np.ndarray):
-        B = self.A_ext[:, self.basis]
+    def rebuild(self, cost: np.ndarray) -> bool:
+        """Refactorize at the current basis; True when it had to roll back."""
+        self.cost = cost
+        rolled_back = False
         try:
-            body = np.linalg.solve(B, np.hstack([self.A_ext, self.b0[:, None]]))
+            self._factor()
         except np.linalg.LinAlgError as exc:
-            raise SolverError("numerically singular simplex basis") from exc
+            if not self.updates:
+                raise SolverError("numerically singular simplex basis") from exc
+            log.info("simplex: singular basis after %d in-place pivots; rolling back "
+                     "and refactorizing on every pivot", self.updates)
+            self.basis[:] = self.factored
+            self.every = 1
+            self._factor()
+            rolled_back = True
+        self.updates = 0
+        self.factored = self.basis.copy()
+        return rolled_back
+
+    def _factor(self):
+        B = self.A_ext[:, self.basis]
+        body = np.linalg.solve(B, np.hstack([self.A_ext, self.b0[:, None]]))
+        cost = self.cost
         self.T[:self.m] = body
         self.T[-1, :-1] = cost - cost[self.basis] @ body[:, :-1]
         self.T[-1, -1] = -cost[self.basis] @ body[:, -1]
@@ -160,47 +187,88 @@ class _Tableau:
         self.T[:self.m, self.basis] = 0.0
         self.T[np.arange(self.m), self.basis] = 1.0
         self.T[-1, self.basis] = 0.0
+        self._snap_rhs()
+
+    def _snap_rhs(self):
         # snap dust in the basic values to exact zeros: negatives would
         # produce negative ratios, and tiny positives would make degenerate
         # ties inexact, cutting Bland's anticycling out of the loop
         rhs = self.T[:self.m, -1]
         rhs[(rhs > -FEAS_TOL) & (rhs < DEGEN_TOL)] = 0.0
 
-    def pivot(self, row: int, col: int, cost: np.ndarray):
+    def pivot(self, row: int, col: int) -> bool:
+        """Bring `col` into the basis at `row`; True when a refactorization rolled back."""
         self.basis[row] = col
-        self.rebuild(cost)
+        if self.updates + 1 >= self.every:
+            return self.rebuild(self.cost)
+        T = self.T
+        T[row] /= T[row, col]
+        factors = T[:, col].copy()
+        factors[row] = 0.0
+        rows = np.nonzero(factors)[0]
+        T[rows] -= np.outer(factors[rows], T[row])
+        # the entering column is a unit column; every other basic column has
+        # an exact zero in the pivot row and so keeps its unit entries
+        T[:, col] = 0.0
+        T[row, col] = 1.0
+        self._snap_rhs()
+        self.updates += 1
+        return False
 
-    def iterate(self, cost: np.ndarray, allowed: int, pivots_left: int) -> tuple[str, int]:
-        """Bland-rule pivoting until optimal/unbounded/limit.
+    def iterate(self, allowed: int, pivots_left: int) -> tuple[str, int]:
+        """Pivot under the current cost until optimal/unbounded/limit.
 
-        `allowed` bounds the entering-column index (bans artificials in
-        phase 2).  Returns (status, pivots used).
+        Dantzig pricing (most negative reduced cost) until a basis repeats;
+        then Bland's rule; on a further repeat only clearly negative reduced
+        costs may enter.  `allowed` bounds the entering-column index (bans
+        artificials in phase 2).  Returns (status, pivots used).
         """
         T = self.T
         m = self.m
         used = 0
         threshold = PIVOT_TOL
+        bland = False
         visited: set[bytes] = set()
+
+        def refresh() -> bool:
+            # terminal decisions are taken on a freshly factorized tableau:
+            # refactorize one updated in place and report that it changed
+            if not self.updates:
+                return False
+            if self.rebuild(self.cost):
+                visited.clear()
+            return True
+
         while True:
-            candidates = np.nonzero(T[-1, :allowed] < -threshold)[0]
+            reduced = T[-1, :allowed]
+            candidates = np.nonzero(reduced < -threshold)[0]
             if candidates.size == 0:
+                if refresh():
+                    continue
                 return OPTIMAL, used
             # noise-scale reduced costs can drive a cycle through refactorized
             # tableaus; a repeated basis means no exact-arithmetic progress is
-            # available at this threshold, so demand a clearly negative cost
+            # available under this rule, so switch to Bland's rule, and on a
+            # second repeat demand a clearly negative cost
             key = self.basis.tobytes()
             if key in visited:
+                if refresh():
+                    continue
                 if threshold >= FEAS_TOL:
                     log.warning("simplex settled on a degenerate basis cycle")
                     return OPTIMAL, used
-                threshold = FEAS_TOL
+                if bland:
+                    threshold = FEAS_TOL
+                bland = True
                 visited.clear()
                 continue
-            visited.add(key)
-            col = int(candidates[0])  # Bland: smallest index
+            # Bland: smallest index; Dantzig: most negative reduced cost
+            col = int(candidates[0]) if bland else int(np.argmin(reduced))
             column = T[:m, col]
             rows = np.nonzero(column > PIVOT_TOL)[0]
             if rows.size == 0:
+                if refresh():
+                    continue
                 return UNBOUNDED, used
             ratios = T[rows, -1] / column[rows]
             best = np.min(ratios)
@@ -208,7 +276,9 @@ class _Tableau:
             row = int(ties[np.argmin(self.basis[ties])])  # Bland: smallest basic index
             if used >= pivots_left:
                 return ITERATION_LIMIT, used
-            self.pivot(row, col, cost)
+            visited.add(key)
+            if self.pivot(row, col):
+                visited.clear()
             used += 1
 
 
@@ -280,7 +350,7 @@ def simplex_solve(model: DeterministicModel, max_pivots: int = MAX_PIVOTS) -> So
         cost1 = np.zeros(total)
         cost1[n + m:] = 1.0
         tab.rebuild(cost1)
-        status, used = tab.iterate(cost1, total, max_pivots)
+        status, used = tab.iterate(total, max_pivots)
         pivots += used
         if status == ITERATION_LIMIT:
             return Solution(ITERATION_LIMIT, math.nan, {}, pivots)
@@ -291,14 +361,14 @@ def simplex_solve(model: DeterministicModel, max_pivots: int = MAX_PIVOTS) -> So
             if tab.basis[i] >= n + m:
                 cols = np.nonzero(np.abs(tab.T[i, :n + m]) > PIVOT_TOL)[0]
                 if cols.size:
-                    tab.pivot(i, int(cols[0]), cost1)
+                    tab.pivot(i, int(cols[0]))
                     pivots += 1
 
     # Phase 2: original objective, artificials banned from entering.
     cost2 = np.zeros(total)
     cost2[:n] = c
     tab.rebuild(cost2)
-    status, used = tab.iterate(cost2, n + m, max_pivots - pivots)
+    status, used = tab.iterate(n + m, max_pivots - pivots)
     pivots += used
     if status == ITERATION_LIMIT:
         return Solution(ITERATION_LIMIT, math.nan, {}, pivots)
@@ -326,7 +396,7 @@ def pessimize(uset: UncertaintySet, w: np.ndarray) -> PessimizationResult:
         rho = uset.radius
         if rho == 0.0 or not w.any():
             z = np.zeros(uset.dim)
-            return PessimizationResult(z, float(rho * vector_norm(w, dual_q(uset.p)) if w.any() else 0.0))
+            return PessimizationResult(z, float(rho * vector_norm(w, dual_norm(uset.p)) if w.any() else 0.0))
         if uset.p == INF:
             z = rho * np.sign(w)
         elif uset.p == 1.0:
@@ -336,7 +406,7 @@ def pessimize(uset: UncertaintySet, w: np.ndarray) -> PessimizationResult:
         elif uset.p == 2.0:
             z = rho * w / np.linalg.norm(w)
         else:
-            q = dual_q(uset.p)
+            q = dual_norm(uset.p)
             scale = vector_norm(w, q) ** (q - 1.0)
             z = rho * np.sign(w) * np.abs(w) ** (q - 1.0) / scale
         return PessimizationResult(z, float(w @ z))
@@ -370,14 +440,6 @@ def pessimize(uset: UncertaintySet, w: np.ndarray) -> PessimizationResult:
     raise UnsupportedSetError(
         f"pessimization not supported for set kind {uset.kind!r}; "
         "use the reformulation path plus sampling")
-
-
-def dual_q(p: float) -> float:
-    if p == 1.0:
-        return INF
-    if p == INF:
-        return 1.0
-    return p / (p - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,57 @@ def scipy_solve(model: roc.Model):
     return "optimal", obj
 
 
+def scipy_solve_lowered(det: roc.DeterministicModel):
+    """Independent LP oracle for a lowered model without cone rows."""
+    from scipy.optimize import linprog
+
+    assert not det.soc_rows
+    index = {v.id: i for i, v in enumerate(det.vars)}
+
+    def dense(expr):
+        a = np.zeros(len(index))
+        for v, coeff in expr.terms:
+            a[index[v]] += coeff
+        return a
+
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+    for row in det.linear_rows:
+        a, b = dense(row.lhs), row.rhs - row.lhs.constant
+        if row.sense == "<=":
+            A_ub.append(a)
+            b_ub.append(b)
+        else:
+            A_eq.append(a)
+            b_eq.append(b)
+    bounds = [(None if v.lower == -np.inf else v.lower,
+               None if v.upper == np.inf else v.upper) for v in det.vars]
+    res = linprog(dense(det.objective), A_ub=np.array(A_ub) if A_ub else None,
+                  b_ub=np.array(b_ub) if b_ub else None,
+                  A_eq=np.array(A_eq) if A_eq else None,
+                  b_eq=np.array(b_eq) if b_eq else None,
+                  bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return res.fun + det.objective.constant
+
+
+def dense_ball_text(n: int, m: int, p: str, seed: int, r: float = 0.1) -> str:
+    """.roc source of a dense max model: n variables in [0, 10], m rows with
+    coefficients in [1, 5] and rhs in [50, 100], each row under a p-ball on
+    every variable (the family of the ROADMAP's baseline table)."""
+    rng = np.random.default_rng(seed)
+    names = [f"x{j + 1}" for j in range(n)]
+
+    def expr(coeffs):
+        return " + ".join(f"{c:.2f}*{v}" for c, v in zip(coeffs, names))
+
+    lines = [f"var {v} >= 0 <= 10;" for v in names]
+    lines.append(f"max: {expr(rng.uniform(1, 5, n))};")
+    for i in range(m):
+        lines.append(f"c{i + 1}: {expr(rng.uniform(1, 5, n))} <= {rng.uniform(50, 100):.2f} "
+                     f"uncertain(on=[{', '.join(names)}], Z=ball(p={p}, r={r}, dim={n}));")
+    return "\n".join(lines) + "\n"
+
+
 def sampled_cutting_plane(model: roc.CanonicalModel, n: int = 2000, seed: int = 0,
                           rounds: int = 100, feas_tol: float = 1e-9):
     """Cutting-plane solve that pessimizes over *sampled* points of Z.

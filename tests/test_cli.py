@@ -85,6 +85,16 @@ class TestExitCodes:
         assert report["verification"]["verdict"] == "pass"
         assert abs(report["objective"] - 7142.857142857141) < 1e-6
 
+    def test_dense_two_ball_pipeline_ok(self, capsys):
+        # regression: this model once exited 1 with "numerically singular
+        # simplex basis"
+        code, out = run_cli(capsys, "pipeline", str(FIXTURES / "dense_ball2.roc"),
+                            "--samples", "200", "--seed", "1")
+        assert code == 0
+        report = json.loads(out)
+        assert report["verification"]["verdict"] == "pass"
+        assert abs(report["objective"] - 63.0263686606) <= 1e-6 * 63.03
+
     def test_parse_error_exit_2(self, capsys):
         code = main(["check", BAD])
         err = capsys.readouterr().err

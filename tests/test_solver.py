@@ -7,11 +7,15 @@ import pytest
 import roc
 from roc import LinExpr, NormBall, Polyhedral, pessimize
 
-from support import (BALL_KINDS, aggressive_instance, fixture_text,
-                     full_pipeline, random_instance, random_set, rel_close,
-                     scipy_solve, solve_canonical_both)
+from support import (BALL_KINDS, aggressive_instance, dense_ball_text,
+                     fixture_text, full_pipeline, random_instance, random_set,
+                     rel_close, scipy_solve, scipy_solve_lowered,
+                     solve_canonical_both)
 
 INF = math.inf
+# in-place pivots between refactorizations, from "refactorize on every
+# pivot" to "only before terminal decisions"
+REFACTOR_INTERVALS = (1, 8, 16, 20, 30, 100, 10**6)
 
 
 def det_model(variables, objective, rows):
@@ -94,6 +98,53 @@ class TestSimplex:
                     assert lhs <= row.rhs + 1e-7
                 else:
                     assert abs(lhs - row.rhs) <= 1e-7
+
+    @pytest.mark.parametrize("p", ["inf", "1"])
+    @pytest.mark.parametrize("n, m", [(12, 6), (16, 8)])
+    def test_dense_ball_models_against_highs(self, n, m, p, monkeypatch):
+        # sign-row lowerings of dense inf- and 1-balls are the largest LPs the
+        # pipeline builds; a short interval makes every solve refactorize
+        # periodically after in-place pivots
+        monkeypatch.setattr(roc.solver, "REFACTOR_EVERY", 8)
+        det = full_pipeline(dense_ball_text(n, m, p, seed=n))[4]
+        sol = roc.solve_deterministic(det)
+        assert sol.status == "optimal"
+        assert sol.iterations > 8
+        assert rel_close(sol.objective, scipy_solve_lowered(det), 1e-9)
+
+    def test_singular_refactorization_rolls_back(self, monkeypatch, caplog):
+        # a refactorization that finds the basis singular after in-place
+        # pivots returns to the last factorized basis and refactorizes on
+        # every pivot from then on; the answer does not change
+        det = full_pipeline(dense_ball_text(12, 6, "inf", seed=12))[4]
+        expected = roc.solve_deterministic(det)
+        factor = roc.solver._Tableau._factor
+        failed = []
+
+        def singular_once(tab):
+            if tab.updates and not failed:
+                failed.append(tab.updates)
+                raise np.linalg.LinAlgError("Singular matrix")
+            factor(tab)
+
+        monkeypatch.setattr(roc.solver, "REFACTOR_EVERY", 8)
+        monkeypatch.setattr(roc.solver._Tableau, "_factor", singular_once)
+        with caplog.at_level("INFO", logger="roc"):
+            sol = roc.solve_deterministic(det)
+        assert failed == [7]
+        assert "rolling back" in caplog.text
+        assert sol.status == "optimal"
+        assert rel_close(sol.objective, expected.objective, 1e-9)
+
+    def test_singular_basis_without_updates_is_an_error(self, monkeypatch):
+        # with nothing to roll back to, a singular basis stays an error
+        def singular(tab):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(roc.solver._Tableau, "_factor", singular)
+        det = full_pipeline(dense_ball_text(12, 6, "inf", seed=12))[4]
+        with pytest.raises(roc.SolverError, match="numerically singular"):
+            roc.solve_deterministic(det)
 
     def test_determinism_bitwise(self):
         cm = random_instance(99)
@@ -235,7 +286,8 @@ class TestCuttingPlane:
     def test_near_parallel_cut_conditioning(self):
         # regression: accumulating near-parallel cone cuts once drifted the
         # dense tableau off the feasible region (claimed optimum -29.78 vs
-        # true -35.07); per-pivot refactorization keeps both routes agreeing
+        # true -35.07); refactorizing before every terminal decision keeps
+        # both routes agreeing
         cm = random_instance(9019)
         ref, cut = solve_canonical_both(cm)
         assert ref.status == cut.status == "optimal"
@@ -258,6 +310,14 @@ class TestCuttingPlane:
             ref, cut = solve_canonical_both(cm)
             assert ref.status == cut.status == "optimal", f"seed {seed}"
             assert rel_close(ref.objective, cut.objective, 1e-6), f"seed {seed}"
+
+    @pytest.mark.parametrize("every", REFACTOR_INTERVALS)
+    def test_regressions_at_refactor_interval(self, every, monkeypatch):
+        # the outcome must not depend on how many in-place pivots run
+        # between refactorizations
+        monkeypatch.setattr(roc.solver, "REFACTOR_EVERY", every)
+        self.test_near_parallel_cut_conditioning()
+        self.test_heavily_binding_uncertainty()
 
     def test_polyhedral_uncertainty_from_dsl(self):
         src = (

@@ -1,5 +1,6 @@
 """Sampling and verification: membership, stress points, reproducibility."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,6 +135,24 @@ class TestVerifySolution:
         bad = roc.verify_solution(pre, sol, n=100, seed=4, ldr=post.ldr, oracle_gap=0.5)
         assert good.verdict == "pass"
         assert bad.verdict == "fail"
+
+    def test_oracle_gap_is_relative(self):
+        # ex1's objective is about 7143, so with tol 1e-6 a gap passes up to
+        # about 7.1e-3 (an absolute test would fail 1e-5 and 1e-3); objectives
+        # below 1 in magnitude compare on a scale of 1
+        _, pre, post, _, det = full_pipeline(fixture_text("ex1.roc"))
+        sol = roc.solve_deterministic(det)
+        assert abs(sol.objective) > 7000
+
+        def verdict(gap, s=sol):
+            return roc.verify_solution(pre, s, n=100, seed=4, ldr=post.ldr,
+                                       oracle_gap=gap, tol=1e-6).verdict
+
+        assert verdict(1e-5) == verdict(1e-3) == "pass"
+        assert verdict(1e-2) == "fail"
+        small = replace(sol, objective=1e-3)
+        assert verdict(9e-7, small) == "pass"
+        assert verdict(2e-6, small) == "fail"
 
     def test_report_reproducible(self):
         _, pre, post, _, det = full_pipeline(fixture_text("cover2.roc"))
