@@ -124,6 +124,9 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
+        # (D bytes, d bytes, D shape) of polytopes already shown bounded, so a
+        # set repeated on many rows costs its 2L coordinate LPs once per parse
+        self.bounded_polys: set[tuple] = set()
 
     # ------------------------------------------------------------------ util
 
@@ -269,7 +272,10 @@ class _Parser:
                 pset = Polyhedral(np.array(D), np.array(d))
             except (ModelError, DimensionError) as exc:
                 raise ParseError(tok.span, DIMENSION, str(exc))
-            _validate_polyhedral(pset, tok.span)
+            key = (pset.D.tobytes(), pset.d.tobytes(), pset.D.shape)
+            if key not in self.bounded_polys:
+                _validate_polyhedral(pset, tok.span)
+                self.bounded_polys.add(key)
             return pset
         if name in ("intersect", "minkowski"):
             self.expect("(")

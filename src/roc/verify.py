@@ -1,14 +1,19 @@
 """Independent evidence: sampling-based checks of robust solutions.
 
-Random samples are uniformity heuristics per set kind; deterministic stress
-points (axis extremes, sign-pattern corners, polytope vertices) carry the
-adversarial burden, since worst cases of linear functionals sit on boundary
-extremes.  Reports never throw on violation; they record it.
+Random samples are drawn per set kind, each batch with array operations:
+balls exactly (uniform in the p-ball for every p), polytopes by independent
+hit-and-run chains run side by side, intersections by batched rejection from
+their easiest member, and Minkowski sums as sums of member batches.
+Deterministic stress points (axis extremes, sign-pattern corners, polytope
+vertices) carry the adversarial burden, since worst cases of linear
+functionals sit on boundary extremes.  Reports never throw on violation;
+they record it.
 """
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +27,8 @@ from .solver import FEAS_TOL, Solution, coordinate_extremes
 log = logging.getLogger("roc")
 
 REJECTION_CAP = 100_000
+# entries of one (rows x chains) working array of the hit-and-run sampler
+SAMPLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -54,53 +61,103 @@ def _sample_ball(uset: NormBall, n: int, rng: np.random.Generator) -> np.ndarray
         signs = rng.integers(0, 2, size=(n, L)) * 2 - 1
         radii = rho * rng.uniform(size=n) ** (1.0 / L)
         return weights * signs * radii[:, None]
-    # general p: rejection from the enclosing box
-    out = np.empty((n, L))
-    filled = 0
-    for _ in range(REJECTION_CAP):
-        cand = rng.uniform(-rho, rho, size=L)
-        if uset.contains(cand):
-            out[filled] = cand
-            filled += 1
-            if filled == n:
-                return out
-    log.warning("rejection sampling exhausted after %d draws", REJECTION_CAP)
-    return out[:filled]
+    # general p (Barthe, Guedon, Mendelson & Naor 2005): with |g_l|^p ~
+    # Gamma(1/p) and E ~ Exp(1), g / (||g||_p^p + E)^(1/p) is uniform in the
+    # unit p-ball
+    p = uset.p
+    signs = rng.integers(0, 2, size=(n, L)) * 2 - 1
+    gp = rng.gamma(1.0 / p, size=(n, L))
+    scale = rho / (gp.sum(axis=1) + rng.exponential(size=n)) ** (1.0 / p)
+    return signs * gp ** (1.0 / p) * scale[:, None]
 
 
 def _sample_poly(uset: Polyhedral, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Hit-and-run from 0 with 10*L burn-in steps."""
+    """Hit-and-run: n independent chains from 0, 10*L steps each.
+
+    A chain's final point is one sample; a chain whose chords all had zero
+    width never left 0 and is dropped.  Chains run side by side in blocks
+    whose (rows x chains) arrays stay within SAMPLE_BLOCK entries.
+    """
+    D, d = uset.D, uset.d[:, None]
     L = uset.dim
-    z = np.zeros(L)
-    burn = 10 * L
-    out = np.empty((n, L))
-    kept = 0
-    steps = 0
-    while kept < n and steps < REJECTION_CAP:
-        steps += 1
-        direction = rng.standard_normal(L)
-        norm = np.linalg.norm(direction)
-        if norm < 1e-12:
-            continue
-        direction /= norm
-        rates = uset.D @ direction
-        slack = uset.d - uset.D @ z
-        t_hi = np.min(slack[rates > 1e-12] / rates[rates > 1e-12]) if np.any(rates > 1e-12) else 0.0
-        t_lo = np.max(slack[rates < -1e-12] / rates[rates < -1e-12]) if np.any(rates < -1e-12) else 0.0
-        if t_hi - t_lo < 1e-14:
-            continue
-        z = z + rng.uniform(t_lo, t_hi) * direction
-        if steps > burn:
-            out[kept] = z
-            kept += 1
-    if kept < n:
-        log.warning("hit-and-run produced %d of %d samples", kept, n)
-    return out[:kept]
+    block = max(1, SAMPLE_BLOCK // len(d))
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, n, block):
+            m = min(block, n - start)
+            Z = np.zeros((L, m))
+            for _ in range(10 * L):
+                u = rng.standard_normal((L, m))
+                norm = np.linalg.norm(u, axis=0)
+                ok = norm >= 1e-12
+                u /= np.where(ok, norm, 1.0)
+                rates = D @ u
+                rates[np.abs(rates) <= 1e-12] = 0.0
+                # the chord ends at min slack/rate over rising rows and max over
+                # falling ones, taken as 1/max and 1/min of rate/slack (fmax and
+                # fmin skip 0/0).  Slack comes from Z, so rounding cannot build
+                # up, clipped at 0, and in place: a broadcast against a fresh
+                # temporary of this size is several times slower
+                slack = D @ Z
+                np.subtract(d, slack, out=slack)
+                np.maximum(slack, 0.0, out=slack)
+                q = np.divide(rates, slack, out=rates)
+                q_hi = np.fmax.reduce(q, axis=0)
+                q_lo = np.fmin.reduce(q, axis=0)
+                t_hi = np.where(q_hi > 0, 1.0 / q_hi, 0.0)
+                t_lo = np.where(q_lo < 0, 1.0 / q_lo, 0.0)
+                ok &= t_hi - t_lo >= 1e-14
+                Z += np.where(ok, rng.uniform(t_lo, t_hi), 0.0) * u
+            out.append(Z[:, np.any(Z != 0.0, axis=0)].T)
+    Z = np.concatenate(out)
+    if len(Z) < n:
+        log.warning("hit-and-run produced %d of %d samples", len(Z), n)
+    return Z
 
 
 def _rank(uset: UncertaintySet) -> int:
     order = {"ball": 0, "poly": 1, "intersect": 2, "minkowski": 3}
     return order.get(uset.kind, 9)
+
+
+def _inside(uset: UncertaintySet, Z: np.ndarray) -> np.ndarray:
+    """Mask of the rows of Z that lie in `uset`, at membership tolerance 1e-9."""
+    if isinstance(uset, NormBall):
+        return np.linalg.norm(Z, ord=uset.p, axis=1) <= uset.radius + 1e-9
+    if isinstance(uset, Polyhedral):
+        mask = np.empty(len(Z), dtype=bool)
+        step = max(1, SAMPLE_BLOCK // len(uset.d))
+        for i in range(0, len(Z), step):
+            mask[i:i + step] = np.all(Z[i:i + step] @ uset.D.T <= uset.d + 1e-9, axis=1)
+        return mask
+    if isinstance(uset, Intersection):
+        mask = np.ones(len(Z), dtype=bool)
+        for member in uset.members:
+            mask &= _inside(member, Z)
+        return mask
+    return np.array([uset.contains(z) for z in Z], dtype=bool)  # raises for Minkowski sums
+
+
+def _sample_intersection(uset: Intersection, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Rejection from the easiest member, drawn in batches sized by the yield
+    so far; stops at n points or REJECTION_CAP candidates."""
+    members = sorted(uset.members, key=_rank)
+    easiest, others = members[0], members[1:]
+    parts = []
+    kept = drawn = 0
+    while kept < n and drawn < REJECTION_CAP:
+        need = n - kept if not drawn else math.ceil((n - kept) * drawn / max(kept, 1))
+        size = min(need, REJECTION_CAP - drawn, max(1, SAMPLE_BLOCK // uset.dim))
+        cand = _sample(easiest, size, rng)
+        drawn += size
+        for member in others:
+            cand = cand[_inside(member, cand)]
+        parts.append(cand)
+        kept += len(cand)
+    Z = np.concatenate(parts)[:n]
+    if len(Z) < n:
+        log.warning("intersection rejection sampling kept %d of %d", len(Z), n)
+    return Z
 
 
 def _sample(uset: UncertaintySet, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,19 +170,7 @@ def _sample(uset: UncertaintySet, n: int, rng: np.random.Generator) -> np.ndarra
         k = min(len(p) for p in parts)
         return sum(p[:k] for p in parts)
     if isinstance(uset, Intersection):
-        members = sorted(uset.members, key=_rank)
-        easiest, others = members[0], members[1:]
-        out = np.empty((n, uset.dim))
-        kept = 0
-        for _ in range(REJECTION_CAP):
-            cand = _sample(easiest, 1, rng)
-            if cand.shape[0] and all(m.contains(cand[0]) for m in others):
-                out[kept] = cand[0]
-                kept += 1
-                if kept == n:
-                    return out
-        log.warning("intersection rejection sampling kept %d of %d", kept, n)
-        return out[:kept]
+        return _sample_intersection(uset, n, rng)
     raise UnsupportedSetError(f"no sampler for set kind {uset.kind!r}")
 
 
@@ -142,9 +187,8 @@ def stress_points(uset: UncertaintySet) -> np.ndarray:
         _, _, points = coordinate_extremes(uset)
         return np.vstack(points) if points else np.zeros((0, L))
     if isinstance(uset, Intersection):
-        pool = [p for m in uset.members for p in stress_points(m)
-                if all(other.contains(p) for other in uset.members)]
-        return np.vstack(pool) if pool else np.zeros((0, L))
+        pool = np.vstack([stress_points(m) for m in uset.members])
+        return pool[_inside(uset, pool)]
     if isinstance(uset, MinkowskiSum):
         combos = [stress_points(m) for m in uset.members]
         pool = []

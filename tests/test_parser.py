@@ -142,6 +142,28 @@ class TestParseUncertaintySpec:
             roc.parse_uncertainty_spec("poly(D=[[1,0],[0,1]], d=[1,1])")
         assert exc.value.kind == "unbounded-set"
 
+    def test_repeated_poly_validated_once(self, monkeypatch):
+        calls = []
+        solve = roc.solver.simplex_solve
+        monkeypatch.setattr(roc.solver, "simplex_solve",
+                            lambda *a, **k: calls.append(1) or solve(*a, **k))
+        box = "poly(D=[[1,0],[-1,0],[0,1],[0,-1]], d=[1,1,1,1])"
+        rows = "".join(f"c{i}: x1 + x2 <= 10 uncertain(Z={box});" for i in range(4))
+        m = roc.parse_model("max: x1 + x2;" + rows)
+        assert len(m.constraints) == 4
+        assert len(calls) == 4  # 2L coordinate LPs for the one distinct set
+        calls.clear()
+        roc.parse_model("max: x1 + x2;" + rows)
+        assert len(calls) == 4  # separate parses share nothing
+
+    def test_repeated_unbounded_poly_fails_at_first_clause(self):
+        rows = "".join(f"c{i}: x1 + x2 <= 10 uncertain(Z=poly(D=[[1,0],[0,1]], d=[1,1]));\n"
+                       for i in range(3))
+        with pytest.raises(ParseError) as exc:
+            roc.parse_model("max: x1 + x2;\n" + rows)
+        assert exc.value.kind == "unbounded-set"
+        assert exc.value.span.line == 2
+
     def test_zero_not_contained_rejected(self):
         with pytest.raises(ParseError) as exc:
             roc.parse_uncertainty_spec("poly(D=[[1],[-1]], d=[1,-0.5])")

@@ -1,4 +1,5 @@
 """Sampling and verification: membership, stress points, reproducibility."""
+import itertools
 import math
 from dataclasses import replace
 
@@ -6,11 +7,22 @@ import numpy as np
 import pytest
 
 import roc
-from roc import NormBall, Polyhedral, sample_set, stress_points
+from roc import NormBall, Polyhedral, sample_set, stress_points, verify
 
 from support import fixture_text, full_pipeline
 
 INF = math.inf
+
+
+def budget(L, gamma):
+    """{z : |z_l| <= 1, sum_l |z_l| <= gamma} with one row per sign pattern."""
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=L)))
+    D = np.vstack([np.eye(L), -np.eye(L), signs])
+    return Polyhedral(D, np.r_[np.ones(2 * L), np.full(2 ** L, gamma)])
+
+
+def p_norms(Z, p):
+    return np.sum(np.abs(Z) ** p, axis=1) ** (1.0 / p)
 
 
 class TestSampling:
@@ -59,6 +71,32 @@ class TestSampling:
         Z = sample_set(box, n=300, seed=5)
         assert np.all(box.D @ Z.T <= box.d[:, None] + 1e-12)
 
+    def test_budget_poly_spreads_inside(self):
+        uset = budget(3, 2.0)
+        Z = sample_set(uset, n=10_000, seed=5)[:10_000]
+        assert np.all(uset.D @ Z.T <= uset.d[:, None] + 1e-12)
+        # independent chains leave 0: uniform on this set has mean |z|_1 ~ 1.34
+        assert np.abs(Z).sum(axis=1).mean() > 1.0
+        assert np.count_nonzero(np.all(Z == 0.0, axis=1)) <= 3
+
+    def test_many_row_poly_sampled_in_blocks(self):
+        uset = budget(10, 2.0)  # 1044 rows: far more chains than one block holds
+        assert verify.SAMPLE_BLOCK // len(uset.d) < 10_000
+        Z = verify._sample_poly(uset, 10_000, np.random.default_rng(1))
+        assert len(Z) == 10_000
+        assert np.all(uset.D @ Z.T <= uset.d[:, None] + 1e-12)
+
+    def test_general_p_ball_exact(self):
+        uset = NormBall(3.0, 0.1, 40)
+        Z = sample_set(uset, n=1000, seed=42)
+        assert len(Z) == 1000 + len(stress_points(uset))
+        assert np.all(p_norms(Z, 3.0) <= 0.1 + 1e-9)
+
+    def test_general_p_ball_uniform_radius(self):
+        # uniform in the unit 3-ball of R^2: P(|z|_3 < 1/2) = (1/2)^2
+        Z = sample_set(NormBall(3.0, 1.0, 2), n=20_000, seed=9)[:20_000]
+        assert abs(np.mean(p_norms(Z, 3.0) < 0.5) - 0.25) < 0.015
+
     def test_poly_stress_vertices(self):
         # [I; -I] z <= (1, 1, 2, 2) is the box [-2, 1] x [-2, 1]
         box = Polyhedral(np.vstack([np.eye(2), -np.eye(2)]), np.array([1.0, 1.0, 2.0, 2.0]))
@@ -77,6 +115,19 @@ class TestSampling:
         for z in stress_points(uset):
             assert uset.contains(z)
 
+    def test_thin_intersection_stops_at_cap(self, monkeypatch, caplog):
+        drawn = []
+        sample_ball = verify._sample_ball
+        monkeypatch.setattr(verify, "_sample_ball",
+                            lambda uset, n, rng: drawn.append(n) or sample_ball(uset, n, rng))
+        # the 1-ball of radius 0.5 fills about 1e-7 of the cube [-1, 1]^8
+        uset = roc.Intersection((NormBall(INF, 1.0, 8), NormBall(1.0, 0.5, 8)))
+        with caplog.at_level("WARNING", logger="roc"):
+            Z = sample_set(uset, n=1000, seed=3)
+        assert len(Z) - len(stress_points(uset)) < 1000
+        assert sum(drawn) <= verify.REJECTION_CAP
+        assert "kept" in caplog.text
+
     def test_minkowski_sum_bound(self):
         uset = roc.MinkowskiSum((NormBall(INF, 0.5, 2), NormBall(INF, 0.25, 2)))
         Z = sample_set(uset, n=200, seed=8)
@@ -85,8 +136,12 @@ class TestSampling:
         assert np.isclose(np.abs(stress_points(uset)).max(), 0.75)
 
     def test_reproducible(self):
-        uset = NormBall(2.0, 1.0, 3)
-        assert np.array_equal(sample_set(uset, 64, seed=42), sample_set(uset, 64, seed=42))
+        for uset in (NormBall(2.0, 1.0, 3), budget(3, 2.0),
+                     roc.Intersection((NormBall(INF, 1.0, 3), NormBall(1.0, 2.0, 3))),
+                     roc.Intersection((budget(3, 1.5), NormBall(2.0, 1.0, 3)))):
+            a = sample_set(uset, 64, seed=42)
+            assert np.array_equal(a, sample_set(uset, 64, seed=42))
+            assert not np.array_equal(a, sample_set(uset, 64, seed=43))
 
     def test_needs_positive_n(self):
         with pytest.raises(ValueError):
