@@ -2,7 +2,7 @@
 
 Parse a `.roc` model, reduce it to canonical row-wise uncertain form, derive
 the tractable robust counterpart through support-function conjugates and
-linear decision rules, lower norm terms to LP/second-order-cone form, solve,
+linear decision rules, lower norm terms to LP rows and norm rows, solve,
 and verify against sampling and cutting-plane oracles.
 """
 
@@ -18,7 +18,7 @@ from .canonicalize import CanonicalModel, canonicalize
 from .rc import (NormTerm, RcModel, RcRow, SupportResult, dual_norm,
                  robustify_model, robustify_row, support_conjugate)
 from .aro import apply_ldr
-from .lower import DeterministicModel, LinRow, SocRow, lower_norms
+from .lower import DeterministicModel, LinRow, NormRow, lower_norms
 from .solver import (PessimizationResult, Solution, cutting_plane_solve,
                      pessimize, simplex_solve, solve_deterministic)
 from .verify import VerificationReport, sample_set, stress_points, verify_solution
@@ -27,9 +27,9 @@ from .emit import emit_json, emit_lp, model_from_json, to_jsonable
 __all__ = [
     "CanonicalModel", "Constraint", "DeterministicModel", "DimensionError",
     "Intersection", "LinExpr", "LinRow", "LoweringError", "MinkowskiSum",
-    "Model", "ModelError", "NormBall", "NormTerm", "ParseError",
+    "Model", "ModelError", "NormBall", "NormRow", "NormTerm", "ParseError",
     "PessimizationResult", "Polyhedral", "RcModel", "RcRow", "RhsUncertainty",
-    "RocError", "SocRow", "Solution", "SolverError", "SourceSpan",
+    "RocError", "Solution", "SolverError", "SourceSpan",
     "SupportResult", "UncertainBlock", "UnsupportedSetError",
     "VariableDecl", "VerificationReport", "apply_ldr", "canonicalize",
     "cutting_plane_solve", "dual_norm", "emit_json", "emit_lp", "expr_add",

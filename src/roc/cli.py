@@ -15,11 +15,11 @@ import sys
 
 from . import __version__
 from .aro import apply_ldr
-from .canonicalize import CanonicalModel, canonicalize
+from .canonicalize import canonicalize
 from .emit import emit_json, emit_lp, to_jsonable
-from .errors import RocError
+from .errors import RocError, UnsupportedSetError
 from .lower import lower_norms
-from .model import MAX, Intersection, MinkowskiSum, Model, UncertaintySet
+from .model import MAX, Model
 from .parser import ParseError, parse_model
 from .rc import robustify_model
 from .solver import OPTIMAL, Solution, cutting_plane_solve, solve_deterministic
@@ -38,19 +38,6 @@ def _configure_logging():
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("ROC_LOG", "error"), logging.ERROR)
     logging.basicConfig(stream=sys.stderr, level=level, format="roc: %(levelname)s: %(message)s")
-
-
-def _supports_pessimize(uset: UncertaintySet) -> bool:
-    if isinstance(uset, Intersection):
-        return False
-    if isinstance(uset, MinkowskiSum):
-        return all(_supports_pessimize(m) for m in uset.members)
-    return True
-
-
-def _cutplane_ready(model: CanonicalModel) -> bool:
-    return all(_supports_pessimize(r.uncertainty.uset)
-               for r in model.rows if r.uncertainty is not None)
 
 
 def _write(text: str, output: str | None):
@@ -90,12 +77,12 @@ class _Run:
         if method in ("reformulate", "both"):
             solutions["reformulate"] = solve_deterministic(self.lowered())
         if method in ("cutplane", "both"):
-            if _cutplane_ready(self.post_ldr):
+            try:
                 solutions["cutplane"] = cutting_plane_solve(self.post_ldr)
-            elif method == "cutplane":
-                raise RocError("cutting-plane solving does not support intersection sets; "
-                               "use --method reformulate")
-            else:
+            except UnsupportedSetError as exc:
+                if method == "cutplane":
+                    raise RocError("cutting-plane solving does not support intersection sets; "
+                                   "use --method reformulate") from exc
                 skipped = "intersection sets have no pessimization oracle"
         return solutions, skipped
 

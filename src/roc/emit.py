@@ -65,7 +65,7 @@ def emit_lp(model: DeterministicModel, allow_soc_comment: bool = False) -> str:
         lines.append(f" {row.id}: {_expr_text(row.lhs)} {row.sense} {_num(row.rhs)}")
     for soc in model.soc_rows:
         args = " , ".join(_expr_text(e) for e in soc.arg)
-        lines.append(f"\\ soc: {soc.t} >= || {args} ||")
+        lines.append(f"\\ soc: {soc.t} >= || {args} ||_{_num(soc.q)}")
     if model.vars:
         lines.append("Bounds")
         for v in model.vars:
@@ -232,7 +232,7 @@ def to_jsonable(obj) -> dict:
             "linear_rows": [{
                 "id": r.id, "lhs": _expr_dict(r.lhs), "sense": r.sense, "rhs": r.rhs,
             } for r in obj.linear_rows],
-            "soc_rows": [{"t": s.t, "arg": [_expr_dict(e) for e in s.arg]}
+            "soc_rows": [{"q": _bound(s.q), "t": s.t, "arg": [_expr_dict(e) for e in s.arg]}
                          for s in obj.soc_rows],
         }
     elif isinstance(obj, Solution):

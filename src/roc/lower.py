@@ -1,17 +1,16 @@
-"""Lowering symbolic norm terms to LP rows or second-order-cone rows.
+"""Lowering symbolic norm terms to LP rows or norm rows.
 
   rho*||w||_1   ->  rho * sum_i t_i   with  t_i >= w_i, t_i >= -w_i
   rho*||w||_inf ->  rho * t           with  t >= w_i, t >= -w_i  for all i
-  rho*||w||_2   ->  rho * t           with  t >= ||w||_2 (second-order cone)
+  rho*||w||_q   ->  rho * t           with  t >= ||w||_q (a norm row), any other q
 
-Zero-weight terms vanish.  Any other norm index is rejected: the catalog
-only provides lowerings for q in {1, 2, inf}.
+Zero-weight terms vanish.  Norm rows (second-order cones for q = 2) are
+enforced by the solver's cutting loop.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LoweringError
 from .model import INF, LE, LinExpr, VariableDecl, expr_negate
 from .rc import RcModel
 
@@ -25,21 +24,22 @@ class LinRow:
 
 
 @dataclass(frozen=True)
-class SocRow:
-    """t >= ||arg||_2 with t >= 0."""
+class NormRow:
+    """t >= ||arg||_q with t >= 0, for q other than 1 and inf."""
 
+    q: float
     t: str
     arg: tuple[LinExpr, ...]
 
 
 @dataclass(frozen=True, eq=False)
 class DeterministicModel:
-    """Fully deterministic model: linear rows plus explicit cone rows."""
+    """Fully deterministic model: linear rows plus explicit norm rows."""
 
     vars: tuple[VariableDecl, ...]
     objective: LinExpr
     linear_rows: tuple[LinRow, ...]
-    soc_rows: tuple[SocRow, ...] = ()
+    soc_rows: tuple[NormRow, ...] = ()
 
     def var_map(self) -> dict[str, VariableDecl]:
         return {v.id: v for v in self.vars}
@@ -67,7 +67,7 @@ def lower_norms(model: RcModel) -> DeterministicModel:
     """Replace every symbolic norm term by auxiliary variables and rows."""
     variables = list(model.vars)
     lin_rows: list[LinRow] = []
-    soc_rows: list[SocRow] = []
+    soc_rows: list[NormRow] = []
     counter = 0
 
     for row in model.rows:
@@ -89,14 +89,11 @@ def lower_norms(model: RcModel) -> DeterministicModel:
                 lhs = lhs + LinExpr.of({t_id: term.weight})
                 for i, w in enumerate(term.arg, start=1):
                     sign_rows.extend(_abs_rows(row.id, k, t_id, i, w))
-            elif term.q == 2.0:
+            else:
                 t_id = f"_t{counter}"
                 variables.append(VariableDecl(t_id, lower=0.0))
                 lhs = lhs + LinExpr.of({t_id: term.weight})
-                soc_rows.append(SocRow(t_id, term.arg))
-            else:
-                raise LoweringError(
-                    f"row {row.id}: no lowering for q = {term.q} (supported: 1, 2, inf)")
+                soc_rows.append(NormRow(term.q, t_id, term.arg))
         lin_rows.append(LinRow(row.id, lhs.drop_constant(), row.sense, row.rhs - lhs.constant))
         lin_rows.extend(sign_rows)
 

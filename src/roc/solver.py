@@ -4,10 +4,9 @@ A dense two-phase primal simplex solves the lowered linear models.  Its
 tableau is updated in place at each pivot and refactorized from the original
 data every REFACTOR_EVERY pivots and before every terminal decision; entering
 columns are priced by Dantzig's rule, with Bland's anti-cycling rule as the
-fallback on a repeated basis.  Second-order-cone rows are handled by an outer
-cutting loop on the master LP, and a pessimization-based cutting-plane loop
-solves canonical robust models directly, serving as the independent oracle
-for every reformulation.
+fallback on a repeated basis.  One pessimization-based cutting loop solves
+both the norm rows of lowered models and, as the independent oracle for every
+reformulation, canonical robust models directly.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ from .canonicalize import CanonicalModel
 from .errors import SolverError, UnsupportedSetError
 from .model import (EQ, INF, LE, LinExpr, MinkowskiSum, NormBall, Polyhedral,
                     UncertaintySet, VariableDecl, vector_norm)
-from .lower import DeterministicModel, LinRow
+from .lower import DeterministicModel, LinRow, NormRow
 from .rc import dual_norm
 
 log = logging.getLogger("roc")
@@ -31,7 +30,7 @@ PIVOT_TOL = 1e-9
 DEGEN_TOL = 1e-11
 MAX_PIVOTS = 100_000
 MAX_ROUNDS = 500
-CUT_POOL = 30  # live cuts kept per cone / uncertain row
+CUT_POOL = 30  # live cuts kept per norm / uncertain row
 REFACTOR_EVERY = 50  # in-place simplex pivots between refactorizations
 
 OPTIMAL = "optimal"
@@ -285,7 +284,7 @@ class _Tableau:
 def simplex_solve(model: DeterministicModel, max_pivots: int = MAX_PIVOTS) -> Solution:
     """Two-phase dense primal simplex over a purely linear model."""
     if model.soc_rows:
-        raise SolverError("simplex cannot handle second-order-cone rows; lower or cut them first")
+        raise SolverError("simplex cannot handle norm rows; cut them first")
 
     sf = _StandardForm(model)
 
@@ -386,6 +385,13 @@ def simplex_solve(model: DeterministicModel, max_pivots: int = MAX_PIVOTS) -> So
 # Pessimization (worst-case z for a numeric argument)
 # ---------------------------------------------------------------------------
 
+def can_pessimize(uset: UncertaintySet) -> bool:
+    """True when `pessimize` has an oracle for `uset`: every kind but intersections."""
+    if isinstance(uset, MinkowskiSum):
+        return all(can_pessimize(m) for m in uset.members)
+    return isinstance(uset, (NormBall, Polyhedral))
+
+
 def pessimize(uset: UncertaintySet, w: np.ndarray) -> PessimizationResult:
     """Closed-form / inner-LP maximizer of w^T z over z in Z."""
     w = np.asarray(w, dtype=float)
@@ -471,7 +477,7 @@ def coordinate_extremes(uset: Polyhedral) -> tuple[np.ndarray, np.ndarray, list[
 
 
 # ---------------------------------------------------------------------------
-# Cutting loops
+# Cutting loop
 # ---------------------------------------------------------------------------
 
 def _cut_key(lhs: LinExpr, rhs: float) -> tuple:
@@ -481,7 +487,7 @@ def _cut_key(lhs: LinExpr, rhs: float) -> tuple:
 class _CutPool:
     """Master rows: base rows plus a bounded FIFO of cuts per generator.
 
-    Supporting cuts of one cone / uncertain row converge onto the same face
+    Supporting cuts of one norm / uncertain row converge onto the same face
     and become nearly parallel; letting them pile up makes the master LP
     arbitrarily ill-conditioned.  Only the most recent CUT_POOL cuts per
     generator stay live (an evicted cut is re-addable if it re-violates).
@@ -490,8 +496,8 @@ class _CutPool:
     def __init__(self, base_rows):
         self.base = list(base_rows)
         self.base_keys = {_cut_key(r.lhs, r.rhs) for r in self.base}
-        self.pools: dict[str, list[LinRow]] = {}
-        self.keys: dict[str, set] = {}
+        self.pools: dict[int, list[LinRow]] = {}
+        self.keys: dict[int, set] = {}
 
     def rows(self) -> tuple[LinRow, ...]:
         out = list(self.base)
@@ -499,7 +505,7 @@ class _CutPool:
             out.extend(pool)
         return tuple(out)
 
-    def add(self, gen_id: str, row: LinRow) -> bool:
+    def add(self, gen_id: int, row: LinRow) -> bool:
         key = _cut_key(row.lhs, row.rhs)
         if key in self.base_keys:
             return False
@@ -515,40 +521,58 @@ class _CutPool:
         return True
 
 
-def solve_deterministic(model: DeterministicModel, feas_tol: float = FEAS_TOL,
-                        max_rounds: int = MAX_ROUNDS) -> Solution:
-    """Solve a lowered model; cone rows are enforced by outer cuts.
+def _norm_generator(row: NormRow) -> tuple:
+    """t >= ||arg||_q as -t + z^T arg <= 0 for all z in the dual norm's unit ball."""
+    coeffs = [e.coeffs() for e in row.arg]
+    on = sorted({v for d in coeffs for v in d})
+    P = np.array([[d.get(v, 0.0) for d in coeffs] for v in on]).reshape(len(on), len(coeffs))
+    c = np.array([e.constant for e in row.arg])
+    return LinExpr.of({row.t: -1.0}), on, P, c, NormBall(dual_norm(row.q), 1.0, len(c)), 0.0
 
-    Each violated cone row t >= ||w(x)||_2 contributes the supporting cut
-    z*^T w(x) <= t at z* = w/||w||, i.e. the worst unit direction for the
-    current iterate.
+
+def _cutting_loop(kind: str, master: DeterministicModel, gens: list[tuple],
+                  feas_tol: float, max_rounds: int) -> Solution:
+    """Enforce each generator, the semi-infinite row (base, on, P, c, Z, rhs):
+    base(x) + z^T (P^T x_on + c) <= rhs for all z in Z, by cuts on `master`.
+
+    Each round pessimizes every generator at the master optimum and adds the
+    violated realizations as cuts; `iterations` counts rounds.  A master LP
+    that ends non-optimal is returned as it is.
     """
-    if not model.soc_rows:
-        return simplex_solve(model)
-
-    pool = _CutPool(model.linear_rows)
+    pool = _CutPool(master.linear_rows)
     for round_no in range(1, max_rounds + 1):
-        sol = simplex_solve(replace(model, linear_rows=pool.rows(), soc_rows=()))
+        sol = simplex_solve(replace(master, linear_rows=pool.rows()))
         if sol.status != OPTIMAL:
             return sol
         added = 0
-        for k, soc in enumerate(model.soc_rows, start=1):
-            w = np.array([e.evaluate(sol.values) for e in soc.arg])
-            norm = np.linalg.norm(w)
-            if norm - sol.values[soc.t] <= feas_tol:
+        for k, (base, on, P, c, uset, rhs) in enumerate(gens):
+            worst = pessimize(uset, P.T @ np.array([sol.values[v] for v in on]) + c)
+            if base.evaluate(sol.values) + worst.value - rhs <= feas_tol:
                 continue
-            zstar = w / norm
-            cut = LinExpr()
-            for zj, arg in zip(zstar, soc.arg):
-                cut = cut + arg.scaled(float(zj))
-            cut = cut + LinExpr.of({soc.t: -1.0})
-            if pool.add(f"soc{k}", LinRow(f"_soc{k}_c{round_no}", cut.drop_constant(),
-                                          LE, -cut.constant)):
+            shift = P @ worst.zstar  # coefficient perturbation at z*
+            cut = base + LinExpr.of({v: float(shift[i]) for i, v in enumerate(on)})
+            if pool.add(k, LinRow(f"_cut{k}_{round_no}", cut, LE, rhs - float(c @ worst.zstar))):
                 added += 1
+        log.debug("%s round %d: master objective %r, %d cuts added",
+                  kind, round_no, sol.objective, added)
         if not added:
             return Solution(sol.status, sol.objective, sol.values, round_no)
-    log.warning("cone cutting loop hit the round limit (%d)", max_rounds)
+    log.warning("%s cutting loop hit the round limit (%d)", kind, max_rounds)
     return Solution(ITERATION_LIMIT, math.nan, {}, max_rounds)
+
+
+def solve_deterministic(model: DeterministicModel, feas_tol: float = FEAS_TOL,
+                        max_rounds: int = MAX_ROUNDS) -> Solution:
+    """Solve a lowered model; norm rows are enforced by outer cuts.
+
+    Each violated norm row t >= ||w(x)||_q contributes the supporting cut
+    z*^T w(x) <= t, z* the worst point of the dual norm's unit ball for the
+    current iterate (w/||w|| for q = 2).
+    """
+    if not model.soc_rows:
+        return simplex_solve(model)
+    gens = [_norm_generator(row) for row in model.soc_rows]
+    return _cutting_loop("cone", replace(model, soc_rows=()), gens, feas_tol, max_rounds)
 
 
 def cutting_plane_solve(model: CanonicalModel, feas_tol: float = FEAS_TOL,
@@ -557,33 +581,17 @@ def cutting_plane_solve(model: CanonicalModel, feas_tol: float = FEAS_TOL,
 
     The master LP holds the certain rows plus the nominal (z = 0) version of
     every uncertain row; each outer round pessimizes every uncertain row at
-    the current iterate and adds the violated realizations as cuts.
+    the current iterate and adds the violated realizations as cuts.  A set
+    without a pessimization oracle raises UnsupportedSetError before any LP.
     """
     for row in model.rows:
         if row.adaptive is not None:
             raise SolverError(f"row {row.id}: apply the decision-rule stage before solving")
-
-    uncertain = [row for row in model.rows if row.uncertainty is not None]
-    pool = _CutPool([LinRow(row.id, row.lhs, LE, row.rhs) for row in model.rows])
-
-    for round_no in range(1, max_rounds + 1):
-        det = DeterministicModel(model.vars, model.objective, pool.rows())
-        sol = simplex_solve(det)
-        if sol.status != OPTIMAL:
-            return sol
-        added = 0
-        for row in uncertain:
-            block = row.uncertainty
-            w = np.array([e.evaluate(sol.values) for e in block.arg_exprs()])
-            worst = pessimize(block.uset, w)
-            violation = row.lhs.evaluate(sol.values) + worst.value - row.rhs
-            if violation <= feas_tol:
-                continue
-            shift = block.P @ worst.zstar  # coefficient perturbation at z*
-            cut = row.lhs + LinExpr.of({v: float(shift[i]) for i, v in enumerate(block.on)})
-            if pool.add(row.id, LinRow(f"{row.id}_cut{round_no}", cut, LE, row.rhs)):
-                added += 1
-        if not added:
-            return Solution(sol.status, sol.objective, sol.values, round_no)
-    log.warning("cutting-plane loop hit the round limit (%d)", max_rounds)
-    return Solution(ITERATION_LIMIT, math.nan, {}, max_rounds)
+        if row.uncertainty is not None and not can_pessimize(row.uncertainty.uset):
+            raise UnsupportedSetError(f"row {row.id}: set kind {row.uncertainty.uset.kind!r} "
+                                      "has no pessimization oracle")
+    gens = [(row.lhs, row.uncertainty.on, row.uncertainty.P, np.zeros(row.uncertainty.dim),
+             row.uncertainty.uset, row.rhs) for row in model.rows if row.uncertainty is not None]
+    master = DeterministicModel(model.vars, model.objective,
+                                tuple(LinRow(row.id, row.lhs, LE, row.rhs) for row in model.rows))
+    return _cutting_loop("cutplane", master, gens, feas_tol, max_rounds)

@@ -98,7 +98,7 @@ def scipy_solve(model: roc.Model):
 
 
 def scipy_solve_lowered(det: roc.DeterministicModel):
-    """Independent LP oracle for a lowered model without cone rows."""
+    """Independent LP oracle for a lowered model without norm rows."""
     from scipy.optimize import linprog
 
     assert not det.soc_rows
@@ -193,6 +193,7 @@ def sampled_cutting_plane(model: roc.CanonicalModel, n: int = 2000, seed: int = 
 
 BALL_KINDS = ("ball1", "ball2", "ballinf", "box", "mink")
 ALL_KINDS = BALL_KINDS + ("inter",)
+GENERAL_P_KINDS = ("ball3", "ball1.5")  # norm rows with q = 1.5 and q = 3
 
 
 def random_set(rng: np.random.Generator, L: int, kinds=BALL_KINDS):
@@ -204,6 +205,10 @@ def random_set(rng: np.random.Generator, L: int, kinds=BALL_KINDS):
         return roc.NormBall(2.0, rho, L)
     if kind == "ballinf":
         return roc.NormBall(np.inf, rho, L)
+    if kind == "ball3":
+        return roc.NormBall(3.0, rho, L)
+    if kind == "ball1.5":
+        return roc.NormBall(1.5, rho, L)
     if kind == "box":
         D = np.vstack([np.eye(L), -np.eye(L)])
         return roc.Polyhedral(D, rho * np.ones(2 * L))

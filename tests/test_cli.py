@@ -95,6 +95,16 @@ class TestExitCodes:
         assert report["verification"]["verdict"] == "pass"
         assert abs(report["objective"] - 63.0263686606) <= 1e-6 * 63.03
 
+    def test_general_p_ball_pipeline_ok(self, capsys):
+        # regression: p = 3 balls once exited 1 with "no lowering for q = 1.5"
+        code, out = run_cli(capsys, "pipeline", str(FIXTURES / "ball3.roc"),
+                            "--samples", "200", "--seed", "1")
+        assert code == 0
+        report = json.loads(out)
+        assert report["verification"]["verdict"] == "pass"
+        assert set(report["solutions"]) == {"reformulate", "cutplane"}
+        assert report["oracle_gap"] <= 1e-6 * abs(report["objective"])
+
     def test_parse_error_exit_2(self, capsys):
         code = main(["check", BAD])
         err = capsys.readouterr().err

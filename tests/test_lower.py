@@ -1,8 +1,7 @@
-"""Norm lowering: aux-variable counts, sign rows, cone rows."""
+"""Norm lowering: aux-variable counts, sign rows, norm rows."""
 import math
 
 import numpy as np
-import pytest
 
 import roc
 from roc import LinExpr
@@ -42,16 +41,19 @@ class TestLowering:
         assert not det.soc_rows
 
     def test_three_four_five(self):
-        det = roc.DeterministicModel(
-            vars=(roc.VariableDecl("x1", lower=3.0, upper=3.0),
-                  roc.VariableDecl("x2", lower=4.0, upper=4.0),
-                  roc.VariableDecl("t", lower=0.0)),
-            objective=LinExpr.of({"t": 1.0}),
-            linear_rows=(),
-            soc_rows=(roc.SocRow("t", (LinExpr.of({"x1": 1.0}), LinExpr.of({"x2": 1.0}))),))
-        sol = roc.solve_deterministic(det)
-        assert sol.status == "optimal"
-        assert abs(sol.values["t"] - 5.0) < 1e-7
+        # t >= ||(x1, x2 + shift)||_q at x = (3, 4)
+        for q, shift, expected in ((2.0, 0.0, 5.0), (3.0, 1.0, 152.0 ** (1 / 3))):
+            det = roc.DeterministicModel(
+                vars=(roc.VariableDecl("x1", lower=3.0, upper=3.0),
+                      roc.VariableDecl("x2", lower=4.0, upper=4.0),
+                      roc.VariableDecl("t", lower=0.0)),
+                objective=LinExpr.of({"t": 1.0}),
+                linear_rows=(),
+                soc_rows=(roc.NormRow(q, "t", (LinExpr.of({"x1": 1.0}),
+                                               LinExpr.of({"x2": 1.0}, shift))),))
+            sol = roc.solve_deterministic(det)
+            assert sol.status == "optimal"
+            assert abs(sol.values["t"] - expected) < 1e-7, q
 
     def test_new_variable_count(self):
         # one q=1 term of length L, one q=inf term, one q=2 term
@@ -69,12 +71,17 @@ class TestLowering:
         # plus 2 sign vars for the q=1 term over the 2 splitter coords
         assert len(det.vars) - len(rcm.vars) == 1 + 2
 
-    def test_unsupported_q_names_row(self):
-        cm = rc_single_row(roc.NormBall(3.0, 0.5, 1), {"x": 1.0}, 1.0)
-        rcm = roc.robustify_model(cm)
-        with pytest.raises(roc.LoweringError) as exc:
-            roc.lower_norms(rcm)
-        assert "c" in str(exc.value)
+    def test_general_q_lowers_to_one_norm_row(self):
+        # a 3-ball contributes a 1.5-norm: one norm row and no sign rows
+        cm = rc_single_row(roc.NormBall(3.0, 0.5, 2), {"x": 1.0, "y": 2.0}, 1.0)
+        det = roc.lower_norms(roc.robustify_model(cm))
+        assert [(row.q, len(row.arg)) for row in det.soc_rows] == [(1.5, 2)]
+        assert [row.id for row in det.linear_rows] == ["c"]
+        assert det.linear_rows[0].lhs.coeff(det.soc_rows[0].t) == 0.5
+        ref = roc.solve_deterministic(det)
+        cut = roc.cutting_plane_solve(cm)
+        assert ref.status == cut.status == "optimal"
+        assert rel_close(ref.objective, cut.objective, 1e-6)
 
     def test_compound_argument_rows(self):
         # |2x - y| lowering keeps the compound expression in both sign rows

@@ -196,7 +196,7 @@ class TestSupportNumerics:
             roc.apply_ldr(roc.canonicalize(roc.parse_model(src)))))).objective
         assert rel_close(get(padded), get(plain), 1e-6)
 
-    def test_general_p_accepted_then_rejected_at_lowering(self):
+    def test_general_p_accepted_and_solved(self):
         row = roc.Constraint(
             "c", LinExpr.of({"x": 1.0}), "<=", 1.0,
             uncertainty=roc.UncertainBlock(("x",), np.eye(1), ball(3.0, 0.5, 1)))
@@ -206,8 +206,14 @@ class TestSupportNumerics:
             rows=(row,))
         rcm = roc.robustify_model(cm)  # rule is closed form, accepted
         assert rcm.rows[0].norm_terms[0].q == 1.5
-        with pytest.raises(roc.LoweringError):
-            roc.lower_norms(rcm)
+        det = roc.lower_norms(rcm)
+        assert [r.q for r in det.soc_rows] == [1.5]
+        assert [r.id for r in det.linear_rows] == ["c"]
+        ref = roc.solve_deterministic(det)
+        cut = roc.cutting_plane_solve(cm)
+        assert ref.status == cut.status == "optimal"
+        assert rel_close(ref.objective, cut.objective, 1e-6)
+        assert rel_close(ref.objective, -1.0 / 1.5, 1e-6)  # x + 0.5|x| <= 1
 
     def test_intersection_against_sampled_pessimization(self):
         # independent route for intersections: a cutting plane pessimizing

@@ -7,7 +7,7 @@ import pytest
 import roc
 from roc import LinExpr, NormBall, Polyhedral, pessimize
 
-from support import (BALL_KINDS, aggressive_instance, dense_ball_text,
+from support import (BALL_KINDS, GENERAL_P_KINDS, aggressive_instance, dense_ball_text,
                      fixture_text, full_pipeline, random_instance, random_set,
                      rel_close, scipy_solve, scipy_solve_lowered,
                      solve_canonical_both)
@@ -282,6 +282,33 @@ class TestCuttingPlane:
             assert ref.status == cut.status == "optimal", f"seed {seed}"
             assert rel_close(ref.objective, cut.objective, 1e-6), \
                 f"seed {seed}: {ref.objective} vs {cut.objective}"
+
+    def test_oracle_agreement_general_p(self):
+        # 3- and 1.5-balls: the cone loop cuts norm rows with q = 1.5 and 3
+        for seed in range(25, 65):
+            cm = random_instance(seed, kinds=GENERAL_P_KINDS)
+            ref, cut = solve_canonical_both(cm)
+            assert ref.status == cut.status == "optimal", f"seed {seed}"
+            assert rel_close(ref.objective, cut.objective, 1e-6), \
+                f"seed {seed}: {ref.objective} vs {cut.objective}"
+
+    def test_intersection_rejected_before_any_lp(self, monkeypatch):
+        post = roc.apply_ldr(roc.canonicalize(roc.parse_model(fixture_text("intersect.roc"))))
+        solves = []
+        monkeypatch.setattr(roc.solver, "simplex_solve", lambda *a: solves.append(a))
+        with pytest.raises(roc.UnsupportedSetError, match="no pessimization oracle"):
+            roc.cutting_plane_solve(post)
+        assert not solves
+
+    def test_debug_line_per_round(self, caplog):
+        _, _, post, _, det = full_pipeline(fixture_text("ex1.roc"))
+        for solve, model in ((roc.solve_deterministic, det), (roc.cutting_plane_solve, post)):
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="roc"):
+                sol = solve(model)
+            assert sol.status == "optimal"
+            assert len(caplog.records) == sol.iterations > 1
+            assert all(r.levelname == "DEBUG" for r in caplog.records)
 
     def test_near_parallel_cut_conditioning(self):
         # regression: accumulating near-parallel cone cuts once drifted the
