@@ -11,14 +11,14 @@ __version__ = "0.1.0"
 from .errors import (DimensionError, LoweringError, ModelError, RocError,
                      SolverError, UnsupportedSetError)
 from .model import (Constraint, Intersection, LinExpr, MinkowskiSum, Model,
-                    NormBall, Polyhedral, RhsUncertainty, UncertainBlock,
-                    VariableDecl, expr_add, expr_negate)
+                    NormBall, NormTerm, Polyhedral, RhsUncertainty,
+                    UncertainBlock, VariableDecl, expr_add, expr_negate)
 from .parser import ParseError, SourceSpan, parse_model, parse_uncertainty_spec
 from .canonicalize import CanonicalModel, canonicalize
-from .rc import (NormTerm, RcModel, RcRow, SupportResult, dual_norm,
-                 robustify_model, robustify_row, support_conjugate)
+from .rc import (RcModel, SupportResult, dual_norm, robustify_model,
+                 robustify_row, support_conjugate)
 from .aro import apply_ldr
-from .lower import DeterministicModel, LinRow, NormRow, lower_norms
+from .lower import DeterministicModel, NormRow, lower_norms
 from .solver import (PessimizationResult, Solution, cutting_plane_solve,
                      pessimize, simplex_solve, solve_deterministic)
 from .verify import VerificationReport, sample_set, stress_points, verify_solution
@@ -26,9 +26,9 @@ from .emit import emit_json, emit_lp, model_from_json, to_jsonable
 
 __all__ = [
     "CanonicalModel", "Constraint", "DeterministicModel", "DimensionError",
-    "Intersection", "LinExpr", "LinRow", "LoweringError", "MinkowskiSum",
+    "Intersection", "LinExpr", "LoweringError", "MinkowskiSum",
     "Model", "ModelError", "NormBall", "NormRow", "NormTerm", "ParseError",
-    "PessimizationResult", "Polyhedral", "RcModel", "RcRow", "RhsUncertainty",
+    "PessimizationResult", "Polyhedral", "RcModel", "RhsUncertainty",
     "RocError", "Solution", "SolverError", "SourceSpan",
     "SupportResult", "UncertainBlock", "UnsupportedSetError",
     "VariableDecl", "VerificationReport", "apply_ldr", "canonicalize",

@@ -41,14 +41,8 @@ class CanonicalModel:
         if len(pinned) > 1:
             raise ModelError("more than one pinned [1,1] variable")
 
-    def var_map(self) -> dict[str, VariableDecl]:
-        return {v.id: v for v in self.vars}
-
     def wait_and_see(self) -> tuple[VariableDecl, ...]:
         return tuple(v for v in self.vars if v.stage == WAIT_AND_SEE)
-
-    def uncertain_rows(self) -> tuple[Constraint, ...]:
-        return tuple(r for r in self.rows if r.uncertainty is not None)
 
     def to_model(self) -> Model:
         return Model(

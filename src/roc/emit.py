@@ -14,10 +14,10 @@ import numpy as np
 from .canonicalize import CanonicalModel
 from .errors import LoweringError, ModelError
 from .model import (INF, Constraint, Intersection, LdrAssignment, LinExpr,
-                    MinkowskiSum, Model, NormBall, Polyhedral, RhsUncertainty,
-                    UncertainBlock, UncertaintySet, VariableDecl)
+                    MinkowskiSum, Model, NormBall, NormTerm, Polyhedral,
+                    RhsUncertainty, UncertainBlock, UncertaintySet, VariableDecl)
 from .lower import DeterministicModel
-from .rc import NormTerm, RcModel
+from .rc import RcModel
 from .solver import Solution
 from .verify import VerificationReport
 
@@ -219,19 +219,15 @@ def to_jsonable(obj) -> dict:
             "kind": "rc",
             "vars": [_var_dict(v) for v in obj.vars],
             "objective": _expr_dict(obj.objective),
-            "rows": [{
-                "id": r.id, "lhs": _expr_dict(r.lhs), "sense": r.sense, "rhs": r.rhs,
-                "norm_terms": [_norm_term_dict(t) for t in r.norm_terms],
-            } for r in obj.rows],
+            "rows": [{**_row_dict(r), "norm_terms": [_norm_term_dict(t) for t in r.norm_terms]}
+                     for r in obj.rows],
         }
     elif isinstance(obj, DeterministicModel):
         body = {
             "kind": "deterministic",
             "vars": [_var_dict(v) for v in obj.vars],
             "objective": _expr_dict(obj.objective),
-            "linear_rows": [{
-                "id": r.id, "lhs": _expr_dict(r.lhs), "sense": r.sense, "rhs": r.rhs,
-            } for r in obj.linear_rows],
+            "linear_rows": [_row_dict(r) for r in obj.linear_rows],
             "soc_rows": [{"q": _bound(s.q), "t": s.t, "arg": [_expr_dict(e) for e in s.arg]}
                          for s in obj.soc_rows],
         }

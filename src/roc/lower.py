@@ -11,16 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import INF, LE, LinExpr, VariableDecl, expr_negate
+from .model import INF, LE, Constraint, LinExpr, VariableDecl, expr_negate
 from .rc import RcModel
-
-
-@dataclass(frozen=True)
-class LinRow:
-    id: str
-    lhs: LinExpr
-    sense: str  # "<=" or "="
-    rhs: float
 
 
 @dataclass(frozen=True)
@@ -38,11 +30,8 @@ class DeterministicModel:
 
     vars: tuple[VariableDecl, ...]
     objective: LinExpr
-    linear_rows: tuple[LinRow, ...]
+    linear_rows: tuple[Constraint, ...]  # "<=" or "=" rows, no optional fields
     soc_rows: tuple[NormRow, ...] = ()
-
-    def var_map(self) -> dict[str, VariableDecl]:
-        return {v.id: v for v in self.vars}
 
     def __eq__(self, other):
         return (isinstance(other, DeterministicModel)
@@ -52,27 +41,25 @@ class DeterministicModel:
                 and self.soc_rows == other.soc_rows)
 
 
-def _abs_rows(row_id: str, term_idx: int, t_id: str, i: int, w: LinExpr) -> tuple[LinRow, LinRow]:
+def _abs_rows(row_id: str, term_idx: int, t_id: str, i: int, w: LinExpr) -> tuple[Constraint, Constraint]:
     # t >= w and t >= -w, stored as "<=" rows.
     t = LinExpr.of({t_id: 1.0})
-    lo = w - t
-    hi = expr_negate(w) - t
     return (
-        LinRow(f"{row_id}_a{term_idx}_{i}p", lo.drop_constant(), LE, -lo.constant),
-        LinRow(f"{row_id}_a{term_idx}_{i}n", hi.drop_constant(), LE, -hi.constant),
+        Constraint(f"{row_id}_a{term_idx}_{i}p", w - t, LE, 0.0),
+        Constraint(f"{row_id}_a{term_idx}_{i}n", expr_negate(w) - t, LE, 0.0),
     )
 
 
 def lower_norms(model: RcModel) -> DeterministicModel:
     """Replace every symbolic norm term by auxiliary variables and rows."""
     variables = list(model.vars)
-    lin_rows: list[LinRow] = []
+    lin_rows: list[Constraint] = []
     soc_rows: list[NormRow] = []
     counter = 0
 
     for row in model.rows:
         lhs = row.lhs
-        sign_rows: list[LinRow] = []
+        sign_rows: list[Constraint] = []
         for k, term in enumerate(row.norm_terms, start=1):
             if term.weight == 0.0:
                 continue
@@ -94,7 +81,7 @@ def lower_norms(model: RcModel) -> DeterministicModel:
                 variables.append(VariableDecl(t_id, lower=0.0))
                 lhs = lhs + LinExpr.of({t_id: term.weight})
                 soc_rows.append(NormRow(term.q, t_id, term.arg))
-        lin_rows.append(LinRow(row.id, lhs.drop_constant(), row.sense, row.rhs - lhs.constant))
+        lin_rows.append(Constraint(row.id, lhs, row.sense, row.rhs))
         lin_rows.extend(sign_rows)
 
     return DeterministicModel(

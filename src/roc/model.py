@@ -342,9 +342,26 @@ class RhsUncertainty:
                 and self.uset == other.uset)
 
 
+@dataclass(frozen=True)
+class NormTerm:
+    """weight * ||arg||_q, taken over a vector of linear expressions."""
+
+    weight: float
+    q: float
+    arg: tuple[LinExpr, ...]
+
+
 @dataclass(frozen=True, eq=False)
 class Constraint:
-    """Row lhs <sense> rhs; lhs is constant-free (constants fold into rhs)."""
+    """Row lhs + sum of norm terms <sense> rhs, the one row type of every stage.
+
+    The lhs is constant-free: its constant folds into rhs here and nowhere
+    else, and rhs is never -0.0.  Parsed rows may set `uncertainty`,
+    `adaptive` or `rhs_uncertainty`; canonicalization folds `rhs_uncertainty`
+    away and the decision-rule stage removes `adaptive`.  Robust-counterpart
+    rows are certain and may set `norm_terms`; lowered rows set none of the
+    optional fields.
+    """
 
     id: str
     lhs: LinExpr
@@ -353,15 +370,13 @@ class Constraint:
     uncertainty: UncertainBlock | None = None
     adaptive: LinExpr | None = None  # d^T y over wait-and-see variables
     rhs_uncertainty: RhsUncertainty | None = None
+    norm_terms: tuple[NormTerm, ...] = ()
 
     def __post_init__(self):
         if self.sense not in (LE, GE, EQ):
             raise ModelError(f"row {self.id}: unknown sense {self.sense!r}")
-        if self.lhs.constant != 0.0:
-            object.__setattr__(self, "rhs", float(self.rhs) - self.lhs.constant + 0.0)
-            object.__setattr__(self, "lhs", self.lhs.drop_constant())
-        else:
-            object.__setattr__(self, "rhs", float(self.rhs) + 0.0)  # drop -0.0
+        object.__setattr__(self, "rhs", float(self.rhs) - self.lhs.constant + 0.0)  # drop -0.0
+        object.__setattr__(self, "lhs", self.lhs.drop_constant())
         if self.sense == EQ and (self.uncertainty is not None or self.rhs_uncertainty is not None):
             raise ModelError(f"row {self.id}: robust equalities are not representable")
         if self.uncertainty is not None and self.rhs_uncertainty is not None:
@@ -373,6 +388,8 @@ class Constraint:
                 raise ModelError(f"row {self.id}: adaptive equalities are not representable")
             if self.adaptive.is_zero():
                 object.__setattr__(self, "adaptive", None)
+        if self.norm_terms and not self.is_certain():
+            raise ModelError(f"row {self.id}: norm terms belong on certain rows only")
 
     def is_certain(self) -> bool:
         return self.uncertainty is None and self.adaptive is None and self.rhs_uncertainty is None
@@ -385,7 +402,8 @@ class Constraint:
                 and self.rhs == other.rhs
                 and self.uncertainty == other.uncertainty
                 and self.adaptive == other.adaptive
-                and self.rhs_uncertainty == other.rhs_uncertainty)
+                and self.rhs_uncertainty == other.rhs_uncertainty
+                and self.norm_terms == other.norm_terms)
 
 
 @dataclass(frozen=True)

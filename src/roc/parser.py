@@ -362,9 +362,9 @@ class _Parser:
                 sense_tok = self.next()
                 if sense_tok.text not in (LE, GE, EQ):
                     self.fail(sense_tok, f"expected <=, >= or =, found {sense_tok.text!r}")
-                rhs = self.linexpr()
-                # variables on the right move to the left (lhs - rhs <= 0 form)
-                lhs = expr_add(lhs, expr_negate(rhs.drop_constant()))
+                # everything moves to the left (lhs - rhs <= 0 form); the row
+                # folds the constant back into its rhs
+                lhs = expr_add(lhs, expr_negate(self.linexpr()))
                 auto_declare(lhs)
                 block = None
                 rub = None
@@ -373,7 +373,7 @@ class _Parser:
                 elif self.peek().text == "rhs_uncertain":
                     rub = self.rhs_uncertain_clause(sense_tok)
                 self.expect(";")
-                constraints.append((name, lhs, sense_tok.text, rhs.constant, block, rub))
+                constraints.append((name, lhs, sense_tok.text, block, rub))
             else:
                 self.fail(tok, f"expected a statement, found {tok.text!r}")
 
@@ -491,7 +491,7 @@ class _Parser:
     def build(self, decls, order, objective, constraints) -> Model:
         sense, obj_expr, obj_block = objective
         rows = []
-        for name, lhs, row_sense, rhs_const, block, rub in constraints:
+        for name, lhs, row_sense, block, rub in constraints:
             here = {v: c for v, c in lhs.terms if decls[v].stage == HERE_AND_NOW}
             wait = {v: c for v, c in lhs.terms if decls[v].stage == WAIT_AND_SEE}
             adaptive = LinExpr.of(wait) if wait else None
@@ -501,9 +501,9 @@ class _Parser:
             try:
                 rows.append(Constraint(
                     id=name.text,
-                    lhs=LinExpr.of(here),
+                    lhs=LinExpr.of(here, lhs.constant),
                     sense=row_sense,
-                    rhs=rhs_const,
+                    rhs=0.0,
                     uncertainty=block,
                     adaptive=adaptive,
                     rhs_uncertainty=rub,

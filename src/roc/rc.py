@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from .canonicalize import CanonicalModel
 from .errors import ModelError, UnsupportedSetError
 from .model import (EQ, INF, LE, Constraint, Intersection, LinExpr,
-                    MinkowskiSum, NormBall, Polyhedral, UncertaintySet,
-                    VariableDecl, expr_add)
+                    MinkowskiSum, NormBall, NormTerm, Polyhedral,
+                    UncertaintySet, VariableDecl, expr_add)
 
 
 def dual_norm(p: float) -> float:
@@ -34,15 +34,6 @@ def dual_norm(p: float) -> float:
     if p == INF:
         return 1.0
     return p / (p - 1.0)
-
-
-@dataclass(frozen=True)
-class NormTerm:
-    """weight * ||arg||_q, taken over a vector of linear expressions."""
-
-    weight: float
-    q: float
-    arg: tuple[LinExpr, ...]
 
 
 @dataclass(frozen=True)
@@ -128,24 +119,13 @@ def support_conjugate(uset: UncertaintySet, arg: tuple[LinExpr, ...],
     raise UnsupportedSetError(f"no robust-counterpart rule for set kind {uset.kind!r}")
 
 
-@dataclass(frozen=True)
-class RcRow:
-    """Deterministic row lhs + sum of norm terms <= / = rhs."""
-
-    id: str
-    lhs: LinExpr
-    norm_terms: tuple[NormTerm, ...]
-    sense: str
-    rhs: float
-
-
 @dataclass(frozen=True, eq=False)
 class RcModel:
     """Robust counterpart: certain rows, possibly with symbolic norm terms."""
 
     vars: tuple[VariableDecl, ...]
     objective: LinExpr
-    rows: tuple[RcRow, ...]
+    rows: tuple[Constraint, ...]
 
     def __eq__(self, other):
         return (isinstance(other, RcModel)
@@ -154,7 +134,7 @@ class RcModel:
                 and self.rows == other.rows)
 
 
-def robustify_row(row: Constraint, names: NameGen) -> tuple[RcRow, tuple[VariableDecl, ...], tuple[RcRow, ...]]:
+def robustify_row(row: Constraint, names: NameGen) -> tuple[Constraint, tuple[VariableDecl, ...], tuple[Constraint, ...]]:
     """Robust counterpart of one canonical "<=" row.
 
     Returns the main row plus any auxiliary variables and equality rows.
@@ -165,20 +145,18 @@ def robustify_row(row: Constraint, names: NameGen) -> tuple[RcRow, tuple[Variabl
     if row.adaptive is not None:
         raise ModelError(f"row {row.id}: adaptive rows must go through the decision-rule stage first")
     if row.uncertainty is None:
-        return RcRow(row.id, row.lhs, (), LE, row.rhs), (), ()
+        return row, (), ()
 
     sr = support_conjugate(row.uncertainty.uset, row.uncertainty.arg_exprs(), names)
-    lhs = row.lhs + sr.affine
-    main = RcRow(row.id, lhs.drop_constant(), sr.norm_terms, LE, row.rhs - lhs.constant)
-    aux = tuple(RcRow(r.id, r.lhs, (), r.sense, r.rhs) for r in sr.aux_rows)
-    return main, sr.aux_vars, aux
+    main = Constraint(row.id, row.lhs + sr.affine, LE, row.rhs, norm_terms=sr.norm_terms)
+    return main, sr.aux_vars, sr.aux_rows
 
 
 def robustify_model(model: CanonicalModel) -> RcModel:
     """Apply robustify_row across a canonical model."""
     names = NameGen()
     variables = list(model.vars)
-    rows: list[RcRow] = []
+    rows: list[Constraint] = []
     for row in model.rows:
         main, aux_vars, aux_rows = robustify_row(row, names)
         rows.append(main)

@@ -18,9 +18,9 @@ import numpy as np
 
 from .canonicalize import CanonicalModel
 from .errors import SolverError, UnsupportedSetError
-from .model import (EQ, INF, LE, LinExpr, MinkowskiSum, NormBall, Polyhedral,
-                    UncertaintySet, VariableDecl, vector_norm)
-from .lower import DeterministicModel, LinRow, NormRow
+from .model import (EQ, INF, LE, Constraint, LinExpr, MinkowskiSum, NormBall,
+                    Polyhedral, UncertaintySet, VariableDecl, vector_norm)
+from .lower import DeterministicModel, NormRow
 from .rc import dual_norm
 
 log = logging.getLogger("roc")
@@ -420,9 +420,9 @@ def pessimize(uset: UncertaintySet, w: np.ndarray) -> PessimizationResult:
     if isinstance(uset, Polyhedral):
         z_vars = tuple(VariableDecl(f"_z{l + 1}") for l in range(uset.dim))
         rows = tuple(
-            LinRow(f"_pz{i + 1}",
-                   LinExpr.of({z_vars[l].id: float(uset.D[i, l]) for l in range(uset.dim)}),
-                   LE, float(uset.d[i]))
+            Constraint(f"_pz{i + 1}",
+                       LinExpr.of({z_vars[l].id: float(uset.D[i, l]) for l in range(uset.dim)}),
+                       LE, float(uset.d[i]))
             for i in range(uset.D.shape[0]))
         inner = DeterministicModel(
             vars=z_vars,
@@ -496,16 +496,16 @@ class _CutPool:
     def __init__(self, base_rows):
         self.base = list(base_rows)
         self.base_keys = {_cut_key(r.lhs, r.rhs) for r in self.base}
-        self.pools: dict[int, list[LinRow]] = {}
+        self.pools: dict[int, list[Constraint]] = {}
         self.keys: dict[int, set] = {}
 
-    def rows(self) -> tuple[LinRow, ...]:
+    def rows(self) -> tuple[Constraint, ...]:
         out = list(self.base)
         for pool in self.pools.values():
             out.extend(pool)
         return tuple(out)
 
-    def add(self, gen_id: int, row: LinRow) -> bool:
+    def add(self, gen_id: int, row: Constraint) -> bool:
         key = _cut_key(row.lhs, row.rhs)
         if key in self.base_keys:
             return False
@@ -551,7 +551,7 @@ def _cutting_loop(kind: str, master: DeterministicModel, gens: list[tuple],
                 continue
             shift = P @ worst.zstar  # coefficient perturbation at z*
             cut = base + LinExpr.of({v: float(shift[i]) for i, v in enumerate(on)})
-            if pool.add(k, LinRow(f"_cut{k}_{round_no}", cut, LE, rhs - float(c @ worst.zstar))):
+            if pool.add(k, Constraint(f"_cut{k}_{round_no}", cut, LE, rhs - float(c @ worst.zstar))):
                 added += 1
         log.debug("%s round %d: master objective %r, %d cuts added",
                   kind, round_no, sol.objective, added)
@@ -593,5 +593,5 @@ def cutting_plane_solve(model: CanonicalModel, feas_tol: float = FEAS_TOL,
     gens = [(row.lhs, row.uncertainty.on, row.uncertainty.P, np.zeros(row.uncertainty.dim),
              row.uncertainty.uset, row.rhs) for row in model.rows if row.uncertainty is not None]
     master = DeterministicModel(model.vars, model.objective,
-                                tuple(LinRow(row.id, row.lhs, LE, row.rhs) for row in model.rows))
+                                tuple(replace(row, uncertainty=None) for row in model.rows))
     return _cutting_loop("cutplane", master, gens, feas_tol, max_rounds)

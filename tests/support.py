@@ -47,9 +47,9 @@ def support_by_reformulation(uset, w: np.ndarray) -> float:
     arg = tuple(roc.LinExpr.of({}, float(x)) for x in np.asarray(w, dtype=float))
     sr = support_conjugate(uset, arg, NameGen())
     epi = roc.VariableDecl("_epi")
-    rows = [roc.RcRow("_epi_row", sr.affine + roc.LinExpr.of({"_epi": -1.0}),
-                      sr.norm_terms, "<=", 0.0)]
-    rows += [roc.RcRow(r.id, r.lhs, (), r.sense, r.rhs) for r in sr.aux_rows]
+    rows = [roc.Constraint("_epi_row", sr.affine + roc.LinExpr.of({"_epi": -1.0}),
+                           "<=", 0.0, norm_terms=sr.norm_terms)]
+    rows += sr.aux_rows
     rcm = roc.RcModel(vars=(epi,) + tuple(sr.aux_vars),
                       objective=roc.LinExpr.of({"_epi": 1.0}),
                       rows=tuple(rows))
@@ -160,7 +160,7 @@ def sampled_cutting_plane(model: roc.CanonicalModel, n: int = 2000, seed: int = 
     master = []
     uncertain = []
     for row in model.rows:
-        master.append(roc.LinRow(row.id, row.lhs, "<=", row.rhs))
+        master.append(roc.Constraint(row.id, row.lhs, "<=", row.rhs))
         if row.uncertainty is not None:
             uncertain.append(row)
             batches[row.id] = roc.sample_set(row.uncertainty.uset, n, seed)
@@ -180,7 +180,7 @@ def sampled_cutting_plane(model: roc.CanonicalModel, n: int = 2000, seed: int = 
             shift = block.P @ worst
             cut = row.lhs + roc.LinExpr.of(
                 {v: float(shift[i]) for i, v in enumerate(block.on)})
-            master.append(roc.LinRow(f"{row.id}_s{round_no}", cut, "<=", row.rhs))
+            master.append(roc.Constraint(f"{row.id}_s{round_no}", cut, "<=", row.rhs))
             added += 1
         if not added:
             return sol

@@ -7,6 +7,7 @@ import math
 import re
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,10 +41,8 @@ def zero_radius(src: str) -> str:
 
 
 def pruned_rc(rcm: roc.RcModel) -> roc.RcModel:
-    rows = tuple(
-        roc.RcRow(r.id, r.lhs, tuple(t for t in r.norm_terms if t.weight != 0.0),
-                  r.sense, r.rhs)
-        for r in rcm.rows)
+    rows = tuple(replace(r, norm_terms=tuple(t for t in r.norm_terms if t.weight != 0.0))
+                 for r in rcm.rows)
     return roc.RcModel(rcm.vars, rcm.objective, rows)
 
 

@@ -168,6 +168,13 @@ class TestArtifacts:
         assert code == 0
         assert json.loads(out)["kind"] == "deterministic"
 
+    def test_lower_json_has_no_negative_zero_rhs(self, capsys):
+        # sign rows t >= w, t >= -w fold their zero constant to a +0.0 rhs
+        code, out = run_cli(capsys, "lower", EX1)
+        assert code == 0
+        assert '"rhs": 0.0' in out
+        assert '"rhs": -0.0' not in out
+
     def test_adaptive_pipeline(self, capsys):
         code, out = run_cli(capsys, "pipeline", COVER2, "--samples", "500", "--seed", "2")
         assert code == 0

@@ -88,9 +88,8 @@ class TestLowering:
         rcm = roc.RcModel(
             vars=(roc.VariableDecl("x"), roc.VariableDecl("y")),
             objective=LinExpr.of({"x": 1.0}),
-            rows=(roc.RcRow("c", LinExpr.of({"x": 1.0}),
-                            (roc.NormTerm(1.0, 1.0, (LinExpr.of({"x": 2.0, "y": -1.0}),)),),
-                            "<=", 3.0),))
+            rows=(roc.Constraint("c", LinExpr.of({"x": 1.0}), "<=", 3.0, norm_terms=(
+                roc.NormTerm(1.0, 1.0, (LinExpr.of({"x": 2.0, "y": -1.0}),)),)),))
         det = roc.lower_norms(rcm)
         plus = next(r for r in det.linear_rows if r.id == "c_a1_1p")
         minus = next(r for r in det.linear_rows if r.id == "c_a1_1n")

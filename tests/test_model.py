@@ -154,6 +154,25 @@ class TestBlocksAndConstraints:
         assert c.lhs == lx({"x": 2.0})
         assert c.rhs == 5.0
 
+    def test_negative_zero_constant_folds(self):
+        # -x carries a -0.0 constant; the fold leaves +0.0 on both sides
+        c = roc.Constraint("r", -lx({"x": 1.0}), "<=", 0.0)
+        assert math.copysign(1.0, c.lhs.constant) == 1.0
+        assert math.copysign(1.0, c.rhs) == 1.0 and c.rhs == 0.0
+
+    def test_norm_terms_need_a_certain_row(self):
+        term = roc.NormTerm(1.0, 2.0, (lx({"x1": 1.0}),))
+        block = roc.UncertainBlock(("x1",), np.eye(1), roc.NormBall(2.0, 1.0, 1))
+        with pytest.raises(roc.ModelError):
+            roc.Constraint("c", lx({"x1": 1.0}), "<=", 1.0, uncertainty=block,
+                           norm_terms=(term,))
+
+    def test_norm_terms_compared(self):
+        term = roc.NormTerm(1.0, 2.0, (lx({"x1": 1.0}),))
+        plain = roc.Constraint("c", lx({"x1": 1.0}), "<=", 1.0)
+        assert plain != roc.Constraint("c", lx({"x1": 1.0}), "<=", 1.0, norm_terms=(term,))
+        assert plain == roc.Constraint("c", lx({"x1": 1.0}), "<=", 1.0)
+
     def test_unknown_variable_in_model(self):
         with pytest.raises(roc.ModelError):
             roc.Model(

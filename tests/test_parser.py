@@ -43,6 +43,12 @@ class TestParseModel:
         assert row.lhs == roc.LinExpr.of({"x1": 99.0, "x2": 1.0})
         assert row.rhs == 10.0
 
+    def test_lhs_constant_folds_into_rhs(self):
+        m = roc.parse_model("min: x; c: x + 5 <= 10 - 2;")
+        row = m.constraints[0]
+        assert row.lhs == roc.LinExpr.of({"x": 1.0})
+        assert row.rhs == 3.0
+
     def test_bounds_and_comments(self):
         m = roc.parse_model("# a comment\nvar x >= 0 <= 5; # inline\nmin: x;")
         v = m.vars[0]

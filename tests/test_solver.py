@@ -43,7 +43,7 @@ class TestSimplex:
         m = det_model(
             [roc.VariableDecl("x")],
             LinExpr.of({"x": 1.0}),
-            [roc.LinRow("lo", LinExpr.of({"x": -1.0}), "<=", 5.0)])  # x >= -5
+            [roc.Constraint("lo", LinExpr.of({"x": -1.0}), "<=", 5.0)])  # x >= -5
         sol = roc.simplex_solve(m)
         assert sol.status == "optimal"
         assert abs(sol.values["x"] + 5.0) < 1e-9
@@ -52,7 +52,7 @@ class TestSimplex:
         m = det_model(
             [roc.VariableDecl("x", lower=0.0), roc.VariableDecl("y", lower=0.0)],
             LinExpr.of({"x": 1.0, "y": 2.0}),
-            [roc.LinRow("bal", LinExpr.of({"x": 1.0, "y": 1.0}), "=", 4.0)])
+            [roc.Constraint("bal", LinExpr.of({"x": 1.0, "y": 1.0}), "=", 4.0)])
         sol = roc.simplex_solve(m)
         assert sol.status == "optimal"
         assert abs(sol.objective - 4.0) < 1e-9  # all weight on the cheap variable
@@ -61,7 +61,7 @@ class TestSimplex:
         m = det_model(
             [roc.VariableDecl("x", lower=2.0, upper=2.0), roc.VariableDecl("y", lower=0.0)],
             LinExpr.of({"x": 10.0, "y": 1.0}),
-            [roc.LinRow("r", LinExpr.of({"x": -1.0, "y": -1.0}), "<=", -3.0)])  # x+y >= 3
+            [roc.Constraint("r", LinExpr.of({"x": -1.0, "y": -1.0}), "<=", -3.0)])  # x+y >= 3
         sol = roc.simplex_solve(m)
         assert sol.status == "optimal"
         assert sol.values["x"] == 2.0
@@ -72,8 +72,8 @@ class TestSimplex:
         m = det_model(
             [roc.VariableDecl("x", lower=0.0), roc.VariableDecl("y", lower=0.0)],
             LinExpr.of({"x": -1.0, "y": -1.0}),
-            [roc.LinRow("r1", LinExpr.of({"x": 1.0, "y": 2.0}), "<=", 4.0),
-             roc.LinRow("r2", LinExpr.of({"x": 2.0, "y": 1.0}), "<=", 4.0)])
+            [roc.Constraint("r1", LinExpr.of({"x": 1.0, "y": 2.0}), "<=", 4.0),
+             roc.Constraint("r2", LinExpr.of({"x": 2.0, "y": 1.0}), "<=", 4.0)])
         assert roc.simplex_solve(m, max_pivots=0).status == "iteration-limit"
 
     def test_objective_matches_values(self):
