@@ -30,6 +30,7 @@ def _frozen_array(values, ndim: int) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise DimensionError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
+    arr += 0.0  # drop -0.0
     arr.setflags(write=False)
     return arr
 
@@ -110,7 +111,7 @@ def expr_add(a: LinExpr, b: LinExpr) -> LinExpr:
 
 def expr_negate(a: LinExpr) -> LinExpr:
     """Negate every coefficient and the constant."""
-    return LinExpr(tuple((v, -c) for v, c in a.terms), -a.constant)
+    return LinExpr(tuple((v, -c) for v, c in a.terms), -a.constant + 0.0)  # drop -0.0
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +330,10 @@ class RhsUncertainty:
     uset: UncertaintySet
 
     def __post_init__(self):
-        arr = np.asarray(self.p, dtype=float).reshape(-1)
-        arr.setflags(write=False)
-        object.__setattr__(self, "p", arr)
-        if arr.shape[0] != self.uset.dim:
+        object.__setattr__(self, "p", _frozen_array(np.ravel(self.p), 1))
+        if self.p.shape[0] != self.uset.dim:
             raise DimensionError(
-                f"rhs uncertainty: P has {arr.shape[0]} entries but the set has dimension {self.uset.dim}")
+                f"rhs uncertainty: P has {self.p.shape[0]} entries but the set has dimension {self.uset.dim}")
 
     def __eq__(self, other):
         return (isinstance(other, RhsUncertainty)

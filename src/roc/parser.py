@@ -8,10 +8,13 @@ offending token raises a ParseError carrying its source span.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import solver
 from .errors import DimensionError, ModelError, RocError, SolverError
 from .model import (EQ, GE, HERE_AND_NOW, LE, WAIT_AND_SEE, Constraint,
                     Intersection, LinExpr, MinkowskiSum, Model, NormBall,
@@ -42,86 +45,56 @@ class ParseError(RocError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "number", "punct", "eof"
     text: str
-    span: SourceSpan
+    offset: int  # into the source; the span is computed only for errors
 
 
-_PUNCT = ("<=", ">=", ";", ":", ",", "=", "(", ")", "[", "]", "+", "-", "*")
+# One alternative per token kind, tried in order; `bad` catches a number run
+# with two dots (`1.2.3`) or any other single character.
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r\n]+|\#[^\n]*)
+  | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?![\d.])(?:[eE][+-]?\d+)?)
+  | (?P<ident>[^\W\d_]\w*)
+  | (?P<punct><=|>=|[;:,=()\[\]+\-*])
+  | (?P<bad>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?|.)
+""", re.VERBOSE | re.DOTALL)
+
+
+def _span(source: str, offset: int, length: int) -> SourceSpan:
+    return SourceSpan(source.count("\n", 0, offset) + 1,
+                      offset - source.rfind("\n", 0, offset), length)
 
 
 def _tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    tokens = []
+    for m in _TOKEN.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "skip":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(line, col)
-        if ch.isalpha():
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            tokens.append(Token("ident", text, SourceSpan(line, col, j - i)))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            try:
-                float(text)
-            except ValueError:
-                raise ParseError(SourceSpan(line, col, j - i), LEX, f"bad number literal {text!r}")
-            tokens.append(Token("number", text, SourceSpan(line, col, j - i)))
-            col += j - i
-            i = j
-            continue
-        two = source[i:i + 2]
-        if two in ("<=", ">="):
-            tokens.append(Token("punct", two, SourceSpan(line, col, 2)))
-            i += 2
-            col += 2
-            continue
-        if ch in "<>":
-            raise ParseError(span, LEX, f"strict inequality {ch!r} is not supported; use {ch}=")
-        if ch in ";:,=()[]+-*":
-            tokens.append(Token("punct", ch, span))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(span, LEX, f"unexpected character {ch!r}")
-    tokens.append(Token("eof", "", SourceSpan(line, col)))
+        if kind == "ident" and not text[0].isalpha():  # \w also matches `²`, `½`
+            kind, text = "bad", text[0]
+        if kind == "bad":
+            if len(text) > 1:
+                message = f"bad number literal {text!r}"
+            elif text in "<>":
+                message = f"strict inequality {text!r} is not supported; use {text}="
+            else:
+                message = f"unexpected character {text!r}"
+            raise ParseError(_span(source, m.start(), len(text)), LEX, message)
+        tokens.append(Token(kind, text, m.start()))
+    end = source.find("#", source.rfind("\n") + 1)  # input ends where a last-line comment starts
+    tokens.append(Token("eof", "", len(source) if end < 0 else end))
     return tokens
+
+
+_START = Token("eof", "", 0)  # errors about the whole input point at 1:1
 
 
 class _Parser:
     def __init__(self, source: str):
+        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         # (D bytes, d bytes, D shape) of polytopes already shown bounded, so a
@@ -140,7 +113,7 @@ class _Parser:
         return tok
 
     def fail(self, tok: Token, message: str, kind: str = SYNTAX):
-        raise ParseError(tok.span, kind, message)
+        raise ParseError(_span(self.source, tok.offset, max(len(tok.text), 1)), kind, message)
 
     def expect(self, text: str) -> Token:
         tok = self.next()
@@ -179,35 +152,28 @@ class _Parser:
     # ----------------------------------------------------------- components
 
     def linexpr(self) -> LinExpr:
-        expr = LinExpr()
+        """Sum of signed terms, added into one dict in source order."""
+        coeffs: dict[str, float] = {}
+        constant = 0.0
         sign = 1.0
         if self.peek().text in ("-", "+"):
             sign = -1.0 if self.next().text == "-" else 1.0
         while True:
-            expr = expr_add(expr, self.term(sign))
-            tok = self.peek()
-            if tok.text == "+":
-                self.next()
-                sign = 1.0
-            elif tok.text == "-":
-                self.next()
-                sign = -1.0
+            tok = self.next()
+            if tok.kind == "number":
+                coeff = sign * float(tok.text)
+                if self.accept("*"):
+                    var = self.ident("a variable name").text
+                    coeffs[var] = coeffs.get(var, 0.0) + coeff
+                else:
+                    constant += coeff
+            elif tok.kind == "ident" and tok.text not in KEYWORDS:
+                coeffs[tok.text] = coeffs.get(tok.text, 0.0) + sign
             else:
-                return expr
-
-    def term(self, sign: float) -> LinExpr:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.next()
-            coeff = sign * float(tok.text)
-            if self.accept("*"):
-                var = self.ident("a variable name")
-                return LinExpr.of({var.text: coeff})
-            return LinExpr.of({}, coeff)
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            self.next()
-            return LinExpr.of({tok.text: sign})
-        self.fail(tok, f"expected a term, found {tok.text or 'end of input'!r}")
+                self.fail(tok, f"expected a term, found {tok.text or 'end of input'!r}")
+            if self.peek().text not in ("+", "-"):
+                return LinExpr.of(coeffs, constant)
+            sign = -1.0 if self.next().text == "-" else 1.0
 
     def vector(self) -> list[float]:
         self.expect("[")
@@ -223,9 +189,8 @@ class _Parser:
         while self.accept(","):
             out.append(self.vector())
         self.expect("]")
-        widths = {len(r) for r in out}
-        if len(widths) != 1:
-            raise ParseError(open_tok.span, DIMENSION, "ragged matrix rows")
+        if len({len(r) for r in out}) != 1:
+            self.fail(open_tok, "ragged matrix rows", DIMENSION)
         return out
 
     def ident_list(self) -> list[Token]:
@@ -252,12 +217,17 @@ class _Parser:
             if self.accept(","):
                 self.expect("dim")
                 self.expect("=")
-                dim = int(self.number())
+                dim_tok = self.peek()
+                dim = self.number()
+                if not dim.is_integer():
+                    self.fail(dim_tok, f"norm ball: dimension must be an integer, got {dim:g}",
+                              DIMENSION)
             self.expect(")")
-            try:
-                return NormBall(p, r, dim) if dim is not None else _PendingBall(p, r)
+            try:  # checks p and r now, also when dim is left to the context
+                ball = NormBall(p, r, 1 if dim is None else int(dim))
             except (ModelError, DimensionError) as exc:
-                raise ParseError(tok.span, DIMENSION, str(exc))
+                self.fail(tok, str(exc), DIMENSION)
+            return _PendingBall(p, r) if dim is None else ball
         if name == "poly":
             self.expect("(")
             self.expect("D")
@@ -271,10 +241,16 @@ class _Parser:
             try:
                 pset = Polyhedral(np.array(D), np.array(d))
             except (ModelError, DimensionError) as exc:
-                raise ParseError(tok.span, DIMENSION, str(exc))
+                self.fail(tok, str(exc), DIMENSION)
             key = (pset.D.tobytes(), pset.d.tobytes(), pset.D.shape)
             if key not in self.bounded_polys:
-                _validate_polyhedral(pset, tok.span)
+                # boundedness via 2L coordinate LPs; 0 in Z is exactly d >= 0
+                if not pset.contains_zero():
+                    self.fail(tok, "polyhedral set must contain 0 (needs d >= 0)", DIMENSION)
+                try:
+                    solver.coordinate_extremes(pset)
+                except SolverError as exc:
+                    self.fail(tok, str(exc), UNBOUNDED_SET)
                 self.bounded_polys.add(key)
             return pset
         if name in ("intersect", "minkowski"):
@@ -287,14 +263,14 @@ class _Parser:
             concrete = [m.dim for m in members if not isinstance(m, _PendingBall)]
             if pending:
                 if not concrete:
-                    raise ParseError(tok.span, DIMENSION,
-                                     "cannot infer ball dimension; give dim= on at least one member")
+                    self.fail(tok, "cannot infer ball dimension; give dim= on at least one member",
+                              DIMENSION)
                 members = [m.fix(concrete[0]) if isinstance(m, _PendingBall) else m for m in members]
             cls = Intersection if name == "intersect" else MinkowskiSum
             try:
                 return cls(tuple(members))
             except (ModelError, DimensionError) as exc:
-                raise ParseError(tok.span, DIMENSION, str(exc))
+                self.fail(tok, str(exc), DIMENSION)
         self.fail(tok, f"unknown uncertainty set {name!r} (ball, poly, intersect, minkowski)")
 
     # ----------------------------------------------------------- statements
@@ -327,7 +303,7 @@ class _Parser:
                 try:
                     declare(name, lower=lo, upper=hi)
                 except ModelError as exc:
-                    raise ParseError(name.span, SYNTAX, str(exc))
+                    self.fail(name, str(exc))
             elif tok.text == "adaptive":
                 self.next()
                 self.expect("var")
@@ -342,7 +318,7 @@ class _Parser:
                 try:
                     declare(name, stage=WAIT_AND_SEE, lower=lo, upper=hi, rule=rule.text)
                 except ModelError as exc:
-                    raise ParseError(name.span, SYNTAX, str(exc))
+                    self.fail(name, str(exc))
             elif tok.text in ("min", "max"):
                 self.next()
                 if objective is not None:
@@ -396,7 +372,7 @@ class _Parser:
     def uncertain_clause(self, lhs: LinExpr, decls, sense_tok: Token | None = None):
         kw = self.expect("uncertain")
         if sense_tok is not None and sense_tok.text == EQ:
-            raise ParseError(kw.span, SYNTAX, "robust equalities are not representable")
+            self.fail(kw, "robust equalities are not representable")
         self.expect("(")
         on_tokens = None
         P = None
@@ -418,29 +394,27 @@ class _Parser:
                 break
         self.expect(")")
         if uset is None:
-            raise ParseError(kw.span, SYNTAX, "uncertain(...) needs Z=<set>")
+            self.fail(kw, "uncertain(...) needs Z=<set>")
 
         if on_tokens is None:
             on = [v for v, _ in lhs.terms if decls[v].stage == HERE_AND_NOW]
             if not on:
-                raise ParseError(kw.span, SYNTAX, "no here-and-now coefficients to perturb")
+                self.fail(kw, "no here-and-now coefficients to perturb")
         else:
             on = []
             for tok in on_tokens:
                 if tok.text not in decls:
-                    raise ParseError(tok.span, UNKNOWN_SYMBOL, f"unknown variable {tok.text!r}")
+                    self.fail(tok, f"unknown variable {tok.text!r}", UNKNOWN_SYMBOL)
                 if decls[tok.text].stage != HERE_AND_NOW:
-                    raise ParseError(tok.span, SYNTAX,
-                                     "recourse coefficients must be certain (fixed recourse)")
+                    self.fail(tok, "recourse coefficients must be certain (fixed recourse)")
                 on.append(tok.text)
 
         if P is None:
             if isinstance(uset, _PendingBall):
                 uset = uset.fix(len(on))
             if uset.dim != len(on):
-                raise ParseError(kw.span, DIMENSION,
-                                 f"set dimension {uset.dim} != {len(on)} perturbed coefficients "
-                                 "(give P= explicitly)")
+                self.fail(kw, f"set dimension {uset.dim} != {len(on)} perturbed coefficients "
+                              "(give P= explicitly)", DIMENSION)
             P_arr = np.eye(len(on))
         else:
             P_arr = np.array(P, dtype=float)
@@ -449,12 +423,12 @@ class _Parser:
         try:
             return UncertainBlock(tuple(on), P_arr, uset)
         except (ModelError, DimensionError) as exc:
-            raise ParseError(kw.span, DIMENSION, str(exc))
+            self.fail(kw, str(exc), DIMENSION)
 
     def rhs_uncertain_clause(self, sense_tok: Token):
         kw = self.expect("rhs_uncertain")
         if sense_tok.text == EQ:
-            raise ParseError(kw.span, SYNTAX, "robust equalities are not representable")
+            self.fail(kw, "robust equalities are not representable")
         self.expect("(")
         p = None
         uset = None
@@ -472,21 +446,21 @@ class _Parser:
                 break
         self.expect(")")
         if uset is None:
-            raise ParseError(kw.span, SYNTAX, "rhs_uncertain(...) needs Z=<set>")
+            self.fail(kw, "rhs_uncertain(...) needs Z=<set>")
         if p is None:
             if isinstance(uset, _PendingBall):
                 uset = uset.fix(1)
             p_arr = np.ones(uset.dim)
         else:
             if len(p) != 1:
-                raise ParseError(kw.span, DIMENSION, "rhs perturbation P must be a single row")
+                self.fail(kw, "rhs perturbation P must be a single row", DIMENSION)
             p_arr = np.array(p[0], dtype=float)
             if isinstance(uset, _PendingBall):
                 uset = uset.fix(p_arr.shape[0])
         try:
             return RhsUncertainty(p_arr, uset)
         except (ModelError, DimensionError) as exc:
-            raise ParseError(kw.span, DIMENSION, str(exc))
+            self.fail(kw, str(exc), DIMENSION)
 
     def build(self, decls, order, objective, constraints) -> Model:
         sense, obj_expr, obj_block = objective
@@ -496,8 +470,7 @@ class _Parser:
             wait = {v: c for v, c in lhs.terms if decls[v].stage == WAIT_AND_SEE}
             adaptive = LinExpr.of(wait) if wait else None
             if adaptive is not None and row_sense == EQ:
-                raise ParseError(name.span, SYNTAX,
-                                 f"row {name.text}: adaptive equalities are not representable")
+                self.fail(name, f"row {name.text}: adaptive equalities are not representable")
             try:
                 rows.append(Constraint(
                     id=name.text,
@@ -509,11 +482,11 @@ class _Parser:
                     rhs_uncertainty=rub,
                 ))
             except ModelError as exc:
-                raise ParseError(name.span, SYNTAX, str(exc))
+                self.fail(name, str(exc))
         seen = set()
         for name, *_ in constraints:
             if name.text in seen:
-                raise ParseError(name.span, SYNTAX, f"constraint {name.text!r} declared twice")
+                self.fail(name, f"constraint {name.text!r} declared twice")
             seen.add(name.text)
         try:
             return Model(
@@ -524,7 +497,7 @@ class _Parser:
                 objective_uncertainty=obj_block,
             )
         except ModelError as exc:
-            raise ParseError(SourceSpan(1, 1), SYNTAX, str(exc))
+            self.fail(_START, str(exc))
 
 
 @dataclass(frozen=True)
@@ -536,17 +509,6 @@ class _PendingBall:
 
     def fix(self, dim: int) -> NormBall:
         return NormBall(self.p, self.radius, dim)
-
-
-def _validate_polyhedral(pset: Polyhedral, span: SourceSpan) -> None:
-    """Boundedness via 2L coordinate LPs; 0 in Z is exactly d >= 0."""
-    if not pset.contains_zero():
-        raise ParseError(span, DIMENSION, "polyhedral set must contain 0 (needs d >= 0)")
-    from . import solver
-    try:
-        solver.coordinate_extremes(pset)
-    except SolverError as exc:
-        raise ParseError(span, UNBOUNDED_SET, str(exc))
 
 
 def parse_model(source: str) -> Model:
@@ -562,6 +524,5 @@ def parse_uncertainty_spec(source: str) -> UncertaintySet:
     if tok.kind != "eof":
         parser.fail(tok, f"trailing input after set expression: {tok.text!r}")
     if isinstance(uset, _PendingBall):
-        raise ParseError(SourceSpan(1, 1), DIMENSION,
-                         "ball needs dim= when used outside a constraint")
+        parser.fail(_START, "ball needs dim= when used outside a constraint", DIMENSION)
     return uset

@@ -111,6 +111,37 @@ class TestExitCodes:
         assert code == 2
         assert "bad_equality.roc:3" in err  # span points at the offending row
 
+    def check_text(self, capsys, tmp_path, text) -> tuple[int, str]:
+        path = tmp_path / "m.roc"
+        path.write_text(text)
+        code = main(["check", str(path)])
+        return code, capsys.readouterr().err.replace(str(path), "m.roc")
+
+    def test_ball_p_and_r_checked_without_dim(self, capsys, tmp_path):
+        # regression: without dim= these escaped as "roc: error: norm ball: ..." (exit 1)
+        for args, message in [("p=0.5, r=0.1", "p must be >= 1, got 0.5"),
+                              ("p=2, r=-1", "radius must be >= 0, got -1.0")]:
+            code, err = self.check_text(capsys, tmp_path,
+                                        f"min: x;\nc: x <= 1 uncertain(Z=ball({args}));\n")
+            assert code == 2
+            assert err == f"m.roc:2:23: dimension: norm ball: {message}\n"
+
+    def test_ball_infinite_dim_exit_2(self, capsys, tmp_path):
+        # regression: an OverflowError traceback from int(inf)
+        for dim in ("inf", "1e400"):
+            code, err = self.check_text(
+                capsys, tmp_path, f"min: x;\nc: x <= 1 uncertain(Z=ball(p=2, r=1, dim={dim}));\n")
+            assert code == 2
+            assert err == "m.roc:2:42: dimension: norm ball: dimension must be an integer, got inf\n"
+
+    def test_ball_fractional_dim_exit_2(self, capsys, tmp_path):
+        # regression: dim=2.5 was truncated to 2
+        code, err = self.check_text(
+            capsys, tmp_path,
+            "min: x;\nc: x + y <= 1 uncertain(Z=ball(p=2, r=1, dim=2.5));\n")
+        assert code == 2
+        assert err == "m.roc:2:46: dimension: norm ball: dimension must be an integer, got 2.5\n"
+
     def test_infeasible_exit_3(self, capsys):
         code, out = run_cli(capsys, "solve", DIET)
         assert code == 3
@@ -174,6 +205,18 @@ class TestArtifacts:
         assert code == 0
         assert '"rhs": 0.0' in out
         assert '"rhs": -0.0' not in out
+
+    def test_max_model_dumps_have_no_negative_zero(self, capsys, tmp_path):
+        # a negated max: objective and flipped >= rows once printed -0.0
+        path = tmp_path / "m.roc"
+        path.write_text("max: 3*x + 2*y;\n"
+                        "c1: x + y >= 1 uncertain(Z=ball(p=2, r=0.1));\n"
+                        "c2: x + y >= 0.5 rhs_uncertain(P=[[0, 1]], Z=ball(p=1, r=0.2));\n")
+        for command in ("canonicalize", "robustify", "lower"):
+            code, out = run_cli(capsys, command, str(path))
+            assert code == 0
+            assert '"constant": 0.0' in out
+            assert "-0.0" not in out
 
     def test_adaptive_pipeline(self, capsys):
         code, out = run_cli(capsys, "pipeline", COVER2, "--samples", "500", "--seed", "2")

@@ -1,10 +1,12 @@
 """DSL parsing: grammar coverage, error spans, set validation."""
 import math
+import random
 
 import numpy as np
 import pytest
 
 import roc
+from roc.cli import main
 from roc.parser import ParseError
 
 from support import FIXTURES, fixture_text
@@ -126,6 +128,38 @@ class TestParseModel:
         assert m.constraints[0].uncertainty.uset.dim == 3
 
 
+# source, exact str(ParseError), span length
+DIAGNOSTICS = [
+    ("min: x;\n\tc: x ? 1;", "2:7: lex: unexpected character '?'", 1),
+    ("min: x;\r\nc: x <= 1;\r\nd: x ? 2;\r\n", "3:6: lex: unexpected character '?'", 1),
+    ("# comment ?\nmin: x; # another <\nc: x ?= 1;", "3:6: lex: unexpected character '?'", 1),
+    ("min: x;\nc: x <= 1 2", "2:11: syntax: expected ';', found '2'", 1),
+    ("min: x;\nc: x <=", "2:8: syntax: expected a term, found 'end of input'", 1),
+    ("min: x # no semicolon", "1:8: syntax: expected ';', found 'end of input'", 1),
+    ("min: x;\nc: x < 1;", "2:6: lex: strict inequality '<' is not supported; use <=", 1),
+    ("min: x ? 1;", "1:8: lex: unexpected character '?'", 1),
+    ("min: 1.2.3*x;", "1:6: lex: bad number literal '1.2.3'", 5),
+    ("min: 1e*x;", "1:7: syntax: expected ';', found 'e'", 1),
+    ("min: x;\nvar été; var été;", "2:14: syntax: variable 'été' declared twice", 3),
+    ("min: été <= 1;", "1:10: syntax: expected ';', found '<='", 2),
+]
+
+
+@pytest.mark.parametrize("source, text, length", DIAGNOSTICS)
+def test_diagnostic_text_and_span(source, text, length):
+    with pytest.raises(ParseError) as exc:
+        roc.parse_model(source)
+    assert str(exc.value) == text
+    assert exc.value.span.length == length
+
+
+def test_diagnostic_cli_line(tmp_path, capsys):
+    path = tmp_path / "bad.roc"
+    path.write_text("min: x;\n\tc: x ? 1;\n")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"{path}:2:7: lex: unexpected character '?'\n"
+
+
 class TestParseUncertaintySpec:
     def test_ball(self):
         s = roc.parse_uncertainty_spec("ball(p=1, r=0.5, dim=3)")
@@ -203,3 +237,45 @@ class TestRoundTrip:
         model = roc.parse_model(fixture_text(name))
         again = roc.model_from_json(roc.emit_json(model))
         assert again == model
+
+
+# pieces a mutation inserts or swaps in: layout, non-ASCII, bad numbers,
+# punctuation and set arguments outside their ranges
+MUTATION_PIECES = ["\t", "\r\n", "\f", "# c\n", "é", "٣", "²", "½", "<", "1.2.3", "1e", ".5",
+                   "-", "0", "-0", "inf", "1e400", ",", ";", "(", ")", "[", "]", "=", "*", "\n",
+                   "x", "_", "dim=", ", dim=2.5", "p=0.5", "r=-1", ".", "2", "<=", "-inf"]
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(6)
+        if op == 0:
+            text = text[:i] + rng.choice(MUTATION_PIECES) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + rng.randint(1, 5):]
+        elif op == 2:
+            text = text[:i] + rng.choice(MUTATION_PIECES) + text[i + 1:]
+        elif op == 3:
+            j = min(len(text), i + rng.randint(1, 30))
+            text = text[:j] + text[i:j] + text[j:]
+        elif op == 4:
+            text = text[:i]
+        else:  # a digit becomes a number out of range for some argument
+            digits = [k for k, ch in enumerate(text) if ch.isdigit()] or [0]
+            k = rng.choice(digits)
+            text = text[:k] + rng.choice(["0", "-0", "0.5", "-1", "2.5", "inf", "1e400"]) + text[k + 1:]
+    return text
+
+
+def test_mutated_fixtures_parse_or_raise_parse_error():
+    # every input either parses or fails with a located ParseError: no
+    # ModelError, OverflowError or other exception escapes the parser
+    texts = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.roc"))]
+    rng = random.Random(8)
+    for _ in range(1000):
+        source = mutate(rng, rng.choice(texts))
+        try:
+            assert isinstance(roc.parse_model(source), roc.Model)
+        except ParseError:
+            pass
