@@ -11,7 +11,7 @@ evaluated symbolically per set kind:
 
 Norm terms are kept symbolic for the lowering stage; polyhedral multipliers
 and intersection splitters become fresh auxiliary variables with equality
-rows (split into inequalities only at solver ingestion).
+rows, which the simplex takes as they are.
 """
 from __future__ import annotations
 

@@ -1,12 +1,15 @@
 """LP solving and pessimization oracles.
 
-A dense two-phase primal simplex solves the lowered linear models.  Its
-tableau is updated in place at each pivot and refactorized from the original
-data every REFACTOR_EVERY pivots and before every terminal decision; entering
-columns are priced by Dantzig's rule, with Bland's anti-cycling rule as the
-fallback on a repeated basis.  One pessimization-based cutting loop solves
-both the norm rows of lowered models and, as the independent oracle for every
-reformulation, canonical robust models directly.
+A dense two-phase bounded-variable primal simplex solves the lowered linear
+models over their own columns: variable bounds are enforced by the ratio
+test, where an entering column may also just flip to its other bound, and
+"=" rows get a slack fixed at 0.  Its tableau is updated in place at each
+pivot and refactorized from the original data every REFACTOR_EVERY steps
+and before every terminal decision; entering columns are priced by
+Dantzig's rule, with Bland's anti-cycling rule as the fallback on a repeated
+basis.  One pessimization-based cutting loop solves both the norm rows of
+lowered models and, as the independent oracle for every reformulation,
+canonical robust models directly.
 """
 from __future__ import annotations
 
@@ -59,83 +62,17 @@ class PessimizationResult:
 # Two-phase primal simplex
 # ---------------------------------------------------------------------------
 
-class _StandardForm:
-    """min c'x', A x' <= b, x' >= 0, tracking the variable transforms."""
-
-    def __init__(self, model: DeterministicModel):
-        self.fixed: dict[str, float] = {}
-        free_vars = []
-        for v in model.vars:
-            if v.is_fixed():
-                self.fixed[v.id] = v.lower
-            else:
-                free_vars.append(v)
-
-        # column layout per remaining variable:
-        #   shift:  x = lo + x'        (finite lower bound)
-        #   mirror: x = up - x'        (upper bound only)
-        #   split:  x = x+ - x-        (free)
-        self.columns: list[tuple[str, str, float]] = []
-        self.box_rows: list[tuple[int, float]] = []  # (column, residual upper bound)
-        for v in free_vars:
-            if v.lower > -INF:
-                col = len(self.columns)
-                self.columns.append((v.id, "shift", v.lower))
-                if v.upper < INF:
-                    self.box_rows.append((col, v.upper - v.lower))
-            elif v.upper < INF:
-                self.columns.append((v.id, "mirror", v.upper))
-            else:
-                self.columns.append((v.id, "pos", 0.0))
-                self.columns.append((v.id, "neg", 0.0))
-
-        self.ncols = len(self.columns)
-        self.col_of: dict[str, list[int]] = {}
-        for j, (vid, _, _) in enumerate(self.columns):
-            self.col_of.setdefault(vid, []).append(j)
-
-    def row_vector(self, lhs: LinExpr) -> tuple[np.ndarray, float]:
-        """Dense coefficient vector over standard columns + rhs offset."""
-        a = np.zeros(self.ncols)
-        offset = 0.0
-        for vid, coeff in lhs.terms:
-            if vid in self.fixed:
-                offset += coeff * self.fixed[vid]
-                continue
-            for j in self.col_of[vid]:
-                kind = self.columns[j][1]
-                if kind == "shift":
-                    a[j] += coeff
-                    offset += coeff * self.columns[j][2]
-                elif kind == "mirror":
-                    a[j] -= coeff
-                    offset += coeff * self.columns[j][2]
-                elif kind == "pos":
-                    a[j] += coeff
-                else:
-                    a[j] -= coeff
-        return a, offset
-
-    def recover(self, x: np.ndarray) -> dict[str, float]:
-        values = dict(self.fixed)
-        for j, (vid, kind, base) in enumerate(self.columns):
-            if kind == "shift":
-                values[vid] = base + x[j]
-            elif kind == "mirror":
-                values[vid] = base - x[j]
-            elif kind == "pos":
-                values[vid] = values.get(vid, 0.0) + x[j]
-            else:
-                values[vid] = values.get(vid, 0.0) - x[j]
-        # snap float dust onto zero and return plain floats
-        return {v: (0.0 if abs(x) < 1e-12 else float(x)) for v, x in values.items()}
-
-
 class _Tableau:
-    """Dense simplex tableau B^-1 [A | b] with reduced costs, updated in place.
+    """Dense bounded-variable simplex tableau, updated in place.
 
-    A pivot is a Gauss-Jordan rank-1 update of T.  Every REFACTOR_EVERY
-    pivots, and before every terminal decision (optimal, unbounded, phase-1
+    Every column has bounds lo <= x <= up with lo either 0 or -inf (the
+    set-up shifts finite lower bounds to 0), and `xn` holds where each
+    nonbasic column rests: at 0, or at its upper bound.  T holds B^-1 A, the
+    basic values B^-1 (b - N x_N) in its last column, and the reduced costs
+    and minus the objective in its last row.  A step either flips the
+    entering column to its other bound, which moves the basic values only,
+    or pivots: a Gauss-Jordan rank-1 update of T.  Every REFACTOR_EVERY
+    steps, and before every terminal decision (optimal, unbounded, phase-1
     infeasibility, degenerate cycle), T is refactorized from the untouched
     A_ext/b0 so that the drift of the updates never decides an outcome.  A
     refactorization that finds the basis singular after in-place pivots
@@ -144,15 +81,18 @@ class _Tableau:
     cuts) an updated tableau can pick a pivot that exact arithmetic rejects.
     """
 
-    def __init__(self, A_ext: np.ndarray, b0: np.ndarray, basis: np.ndarray):
+    def __init__(self, A_ext: np.ndarray, b0: np.ndarray, lo: np.ndarray, up: np.ndarray,
+                 basis: np.ndarray):
         self.A_ext = A_ext
         self.b0 = b0
+        self.lo = lo
+        self.up = up
         self.basis = basis
+        self.xn = np.zeros(A_ext.shape[1])
         self.m = A_ext.shape[0]
         self.T = np.zeros((self.m + 1, A_ext.shape[1] + 1))
         self.every = REFACTOR_EVERY
-        self.updates = 0  # in-place pivots since the last factorization
-        self.rebuild(np.zeros(A_ext.shape[1]))
+        self.updates = 0  # in-place steps since the last factorization
 
     def rebuild(self, cost: np.ndarray) -> bool:
         """Refactorize at the current basis; True when it had to roll back."""
@@ -166,61 +106,111 @@ class _Tableau:
             log.info("simplex: singular basis after %d in-place pivots; rolling back "
                      "and refactorizing on every pivot", self.updates)
             self.basis[:] = self.factored
+            self.xn[:] = self.factored_xn
             self.every = 1
             self._factor()
             rolled_back = True
         self.updates = 0
         self.factored = self.basis.copy()
+        self.factored_xn = self.xn.copy()
         return rolled_back
 
     def _factor(self):
-        B = self.A_ext[:, self.basis]
-        body = np.linalg.solve(B, np.hstack([self.A_ext, self.b0[:, None]]))
+        basis, lo, up = self.basis, self.lo, self.up
+        # the bounds of each row's basic column, and a pricing sign per
+        # column: -1 where a nonbasic column can rise, +1 where it rests at
+        # its upper bound, 0 for basic and fixed columns; free nonbasic
+        # columns can move either way
+        self.has_lo = lo[basis] == 0.0
+        self.bup = up[basis]
+        self.has_up = self.bup < INF
+        self.n_up = int(np.count_nonzero(self.has_up))
+        self.sgn = np.where(self.xn == up, 1.0, -1.0)
+        self.sgn[lo == up] = 0.0
+        self.sgn[basis] = 0.0
+        self.free = np.flatnonzero((self.sgn != 0.0) & (lo == -INF) & (up == INF))
+
+        B = self.A_ext[:, basis]
+        rhs = self.b0 - self.A_ext @ self.xn if self.xn.any() else self.b0
+        body = np.linalg.solve(B, np.hstack([self.A_ext, rhs[:, None]]))
         cost = self.cost
         self.T[:self.m] = body
-        self.T[-1, :-1] = cost - cost[self.basis] @ body[:, :-1]
-        self.T[-1, -1] = -cost[self.basis] @ body[:, -1]
+        self.T[-1, :-1] = cost - cost[basis] @ body[:, :-1]
+        self.T[-1, -1] = -(cost[basis] @ body[:, -1] + cost @ self.xn)
         # basic columns are unit columns by definition; writing them exactly
         # removes back-solve noise that would otherwise let a basic column
         # "re-enter" against itself (reduced cost -1e-9 instead of 0)
-        self.T[:self.m, self.basis] = 0.0
-        self.T[np.arange(self.m), self.basis] = 1.0
-        self.T[-1, self.basis] = 0.0
-        self._snap_rhs()
+        self.T[:self.m, basis] = 0.0
+        self.T[np.arange(self.m), basis] = 1.0
+        self.T[-1, basis] = 0.0
+        self._snap()
 
-    def _snap_rhs(self):
-        # snap dust in the basic values to exact zeros: negatives would
-        # produce negative ratios, and tiny positives would make degenerate
-        # ties inexact, cutting Bland's anticycling out of the loop
-        rhs = self.T[:self.m, -1]
-        rhs[(rhs > -FEAS_TOL) & (rhs < DEGEN_TOL)] = 0.0
+    def _snap(self):
+        # snap dust in the basic values onto the bound it is near: values past
+        # a bound would produce negative ratios, and values a hair inside it
+        # would make degenerate ties inexact, cutting Bland's anticycling out
+        # of the loop
+        x = self.T[:self.m, -1]
+        x[(x > -FEAS_TOL) & (x < DEGEN_TOL) & self.has_lo] = 0.0
+        if self.n_up:
+            near = (x > self.bup - DEGEN_TOL) & (x < self.bup + FEAS_TOL)
+            x[near] = self.bup[near]
 
-    def pivot(self, row: int, col: int) -> bool:
-        """Bring `col` into the basis at `row`; True when a refactorization rolled back."""
+    def flip(self, col: int, step: float) -> bool:
+        """Move nonbasic `col` by `step` onto its other bound; the basis stays."""
+        self.xn[col] = self.up[col] if step > 0 else 0.0
+        self.sgn[col] = -self.sgn[col]
+        if self.updates + 1 >= self.every:
+            return self.rebuild(self.cost)
+        self.T[:, -1] -= step * self.T[:, col]
+        self._snap()
+        self.updates += 1
+        return False
+
+    def pivot(self, row: int, col: int, leave_at: float) -> bool:
+        """Bring `col` into the basis at `row`, the leaving column resting at
+        `leave_at`; True when a refactorization rolled back."""
+        T = self.T
+        out = self.basis[row]
+        start = self.xn[col]
+        fixed = self.lo[out] == self.up[out]
+        self.sgn[out] = 0.0 if fixed else 1.0 if leave_at == self.up[out] else -1.0
+        self.sgn[col] = 0.0
+        if self.free.size:
+            self.free = self.free[self.free != col]
+        self.xn[out] = leave_at
+        self.xn[col] = 0.0
+        self.has_lo[row] = self.lo[col] == 0.0
+        self.bup[row] = self.up[col]
+        self.n_up += int(self.bup[row] < INF) - int(self.has_up[row])
+        self.has_up[row] = self.bup[row] < INF
         self.basis[row] = col
         if self.updates + 1 >= self.every:
             return self.rebuild(self.cost)
-        T = self.T
+        # Gauss-Jordan on the last column turns the distance the leaving
+        # value travels to its bound into the entering column's change
+        T[row, -1] -= leave_at
         T[row] /= T[row, col]
         factors = T[:, col].copy()
         factors[row] = 0.0
-        rows = np.nonzero(factors)[0]
+        rows = factors.nonzero()[0]
         T[rows] -= np.outer(factors[rows], T[row])
         # the entering column is a unit column; every other basic column has
         # an exact zero in the pivot row and so keeps its unit entries
         T[:, col] = 0.0
         T[row, col] = 1.0
-        self._snap_rhs()
+        T[row, -1] += start
+        self._snap()
         self.updates += 1
         return False
 
-    def iterate(self, allowed: int, pivots_left: int) -> tuple[str, int]:
-        """Pivot under the current cost until optimal/unbounded/limit.
+    def iterate(self, pivots_left: int) -> tuple[str, int]:
+        """Step under the current cost until optimal/unbounded/limit.
 
-        Dantzig pricing (most negative reduced cost) until a basis repeats;
-        then Bland's rule; on a further repeat only clearly negative reduced
-        costs may enter.  `allowed` bounds the entering-column index (bans
-        artificials in phase 2).  Returns (status, pivots used).
+        Dantzig pricing (largest improving reduced cost, in whichever
+        direction the column has room to move) until a basis repeats; then
+        Bland's rule; on a further repeat only clearly improving columns may
+        enter.  Returns (status, steps used); a bound flip is one step.
         """
         T = self.T
         m = self.m
@@ -239,17 +229,21 @@ class _Tableau:
             return True
 
         while True:
-            reduced = T[-1, :allowed]
-            candidates = np.nonzero(reduced < -threshold)[0]
+            reduced = T[-1, :-1]
+            gain = reduced * self.sgn
+            if self.free.size:
+                gain[self.free] = np.abs(reduced[self.free])
+            candidates = (gain > threshold).nonzero()[0]
             if candidates.size == 0:
                 if refresh():
                     continue
                 return OPTIMAL, used
             # noise-scale reduced costs can drive a cycle through refactorized
-            # tableaus; a repeated basis means no exact-arithmetic progress is
-            # available under this rule, so switch to Bland's rule, and on a
-            # second repeat demand a clearly negative cost
-            key = self.basis.tobytes()
+            # tableaus; a repeated state (basis and where the nonbasic columns
+            # rest) means no exact-arithmetic progress is available under
+            # this rule, so switch to Bland's rule, and on a second repeat
+            # demand a clearly improving cost
+            key = self.basis.tobytes() + self.xn.tobytes()
             if key in visited:
                 if refresh():
                     continue
@@ -261,87 +255,91 @@ class _Tableau:
                 bland = True
                 visited.clear()
                 continue
-            # Bland: smallest index; Dantzig: most negative reduced cost
-            col = int(candidates[0]) if bland else int(np.argmin(reduced))
-            column = T[:m, col]
-            rows = np.nonzero(column > PIVOT_TOL)[0]
-            if rows.size == 0:
+            # Bland: smallest index; Dantzig: largest gain
+            col = int(candidates[0]) if bland else int(gain.argmax())
+            rising = reduced[col] < 0.0
+            g = T[:m, col] if rising else -T[:m, col]  # fall of each basic value per unit step
+            x = T[:m, -1]
+            rows = ((g > PIVOT_TOL) & self.has_lo).nonzero()[0]
+            ratios = x[rows] / g[rows]
+            if self.n_up:
+                high = ((g < -PIVOT_TOL) & self.has_up).nonzero()[0]
+                if high.size:
+                    rows = np.concatenate((rows, high))
+                    ratios = np.concatenate((ratios, (self.bup[high] - x[high]) / -g[high]))
+            span = self.up[col] - self.lo[col]  # the entering column's own range
+            if rows.size == 0 and span == INF:
                 if refresh():
                     continue
                 return UNBOUNDED, used
-            ratios = T[rows, -1] / column[rows]
-            best = np.min(ratios)
-            ties = rows[ratios == best]  # exact ties: anticycling needs them exact
-            row = int(ties[np.argmin(self.basis[ties])])  # Bland: smallest basic index
             if used >= pivots_left:
                 return ITERATION_LIMIT, used
             visited.add(key)
-            if self.pivot(row, col):
+            best = ratios.min() if rows.size else INF
+            if span <= best:
+                rolled_back = self.flip(col, span if rising else -span)
+            else:
+                ties = rows[ratios == best]  # exact ties: anticycling needs them exact
+                row = int(ties[self.basis[ties].argmin()])  # Bland: smallest basic index
+                rolled_back = self.pivot(row, col, 0.0 if g[row] > 0.0 else self.bup[row])
+            if rolled_back:
                 visited.clear()
             used += 1
 
 
 def simplex_solve(model: DeterministicModel, max_pivots: int = MAX_PIVOTS) -> Solution:
-    """Two-phase dense primal simplex over a purely linear model."""
+    """Two-phase dense bounded-variable primal simplex over a purely linear model."""
     if model.soc_rows:
         raise SolverError("simplex cannot handle norm rows; cut them first")
 
-    sf = _StandardForm(model)
+    fixed = {v.id: v.lower for v in model.vars if v.is_fixed()}
+    cols = [v for v in model.vars if not v.is_fixed()]
+    col_of = {v.id: j for j, v in enumerate(cols)}
+    # column j holds x_j - shift_j: its lower bound becomes 0 (or stays
+    # -inf), an upper bound alone becomes 0, so every column starts at 0
+    shift = [v.lower if v.lower > -INF else v.upper if v.upper < INF else 0.0 for v in cols]
+    n = len(cols)
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
+    def dense(lhs: LinExpr) -> tuple[np.ndarray, float]:
+        """Coefficients over the columns, and the value of the shifts and fixed variables."""
+        a = np.zeros(n)
+        offset = 0.0
+        for vid, coeff in lhs.terms:
+            j = col_of.get(vid)
+            if j is None:
+                offset += coeff * fixed[vid]
+            else:
+                a[j] = coeff
+                offset += coeff * shift[j]
+        return a, offset
 
-    def add_le(a: np.ndarray, b: float):
-        rows.append(a)
-        rhs.append(b)
-
-    for lin in model.linear_rows:
-        a, offset = sf.row_vector(lin.lhs)
-        b = lin.rhs - offset
-        if lin.sense == LE:
-            add_le(a, b)
-        elif lin.sense == EQ:
-            # equalities are split into paired inequalities at ingestion
-            add_le(a.copy(), b)
-            add_le(-a, -b)
-        else:
-            raise SolverError(f"row {lin.id}: unsupported sense {lin.sense!r}")
-    for col, residual in sf.box_rows:
-        a = np.zeros(sf.ncols)
-        a[col] = 1.0
-        add_le(a, residual)
-
-    c, c_offset = sf.row_vector(model.objective)
+    m = len(model.linear_rows)
+    A = np.zeros((m, n))
+    b = np.zeros(m)
+    eq = np.zeros(m, dtype=bool)
+    for i, row in enumerate(model.linear_rows):
+        if row.sense not in (LE, EQ):
+            raise SolverError(f"row {row.id}: unsupported sense {row.sense!r}")
+        A[i], offset = dense(row.lhs)
+        b[i] = row.rhs - offset
+        eq[i] = row.sense == EQ
+    c, c_offset = dense(model.objective)
     c_offset += model.objective.constant
 
-    n = sf.ncols
-    m = len(rows)
-    if m == 0 and n == 0:
-        return Solution(OPTIMAL, c_offset, dict(sf.fixed), 0)
-
-    A = np.array(rows).reshape(m, n) if m else np.zeros((0, n))
-    b = np.array(rhs)
-
-    # slack per row; artificial where the slack basis is infeasible (b < 0)
-    neg = b < 0
-    A = np.where(neg[:, None], -A, A) if m else A
-    b = np.abs(b)
-    S = np.eye(m)
-    S[neg, :] *= -1.0
-    n_art = int(np.count_nonzero(neg))
+    # one slack per row, in [0, inf) on "<=" rows and [0, 0] on "=" rows; an
+    # artificial where the slack cannot absorb b, the residual at x_N = 0
+    arts = np.flatnonzero(np.where(eq, b != 0.0, b < 0.0))
+    n_art = arts.size
     art_cols = np.zeros((m, n_art))
-    art_of_row = {}
-    k = 0
-    for i in range(m):
-        if neg[i]:
-            art_cols[i, k] = 1.0
-            art_of_row[i] = n + m + k
-            k += 1
-
+    art_cols[arts, np.arange(n_art)] = np.sign(b[arts])
     total = n + m + n_art
-    A_ext = np.hstack([A, S, art_cols]) if m else np.zeros((0, total))
-    basis = np.array([art_of_row.get(i, n + i) for i in range(m)], dtype=int)
-    tab = _Tableau(A_ext, b, basis)
+    A_ext = np.hstack([A, np.eye(m), art_cols])
+    lo = np.concatenate([[0.0 if v.lower > -INF else -INF for v in cols], np.zeros(m + n_art)])
+    up = np.concatenate([[v.upper - s for v, s in zip(cols, shift)],
+                         np.where(eq, 0.0, INF), np.full(n_art, INF)])
+    basis = np.arange(n, n + m)
+    basis[arts] = n + m + np.arange(n_art)
+    tab = _Tableau(A_ext, b, lo, up, basis)
     pivots = 0
 
     # Phase 1: minimize the sum of artificials.
@@ -349,36 +347,36 @@ def simplex_solve(model: DeterministicModel, max_pivots: int = MAX_PIVOTS) -> So
         cost1 = np.zeros(total)
         cost1[n + m:] = 1.0
         tab.rebuild(cost1)
-        status, used = tab.iterate(total, max_pivots)
+        status, used = tab.iterate(max_pivots)
         pivots += used
         if status == ITERATION_LIMIT:
             return Solution(ITERATION_LIMIT, math.nan, {}, pivots)
         if -tab.T[-1, -1] > FEAS_TOL:  # leftover artificial mass
             return Solution(INFEASIBLE, math.nan, {}, pivots)
-        # drive leftover zero-level artificials out of the basis where possible
-        for i in range(m):
-            if tab.basis[i] >= n + m:
-                cols = np.nonzero(np.abs(tab.T[i, :n + m]) > PIVOT_TOL)[0]
-                if cols.size:
-                    tab.pivot(i, int(cols[0]))
-                    pivots += 1
+        # artificials are fixed at 0 from here on: one left basic at zero
+        # level blocks its row and leaves at the first pivot that moves it
+        up[n + m:] = 0.0
 
-    # Phase 2: original objective, artificials banned from entering.
+    # Phase 2: original objective.
     cost2 = np.zeros(total)
     cost2[:n] = c
     tab.rebuild(cost2)
-    status, used = tab.iterate(n + m, max_pivots - pivots)
+    status, used = tab.iterate(max_pivots - pivots)
     pivots += used
     if status == ITERATION_LIMIT:
         return Solution(ITERATION_LIMIT, math.nan, {}, pivots)
     if status == UNBOUNDED:
         return Solution(UNBOUNDED, -math.inf, {}, pivots)
 
-    x = np.zeros(total)
+    x = tab.xn.copy()
     x[tab.basis] = tab.T[:m, -1]
-    values = sf.recover(x[:n])
+    values = dict(fixed)
+    values.update((v.id, s + xj) for v, s, xj in zip(cols, shift, x))
     objective = float(c @ x[:n] + c_offset)
-    return Solution(OPTIMAL, objective, values, pivots)
+    # snap float dust onto zero and return plain floats
+    return Solution(OPTIMAL, objective,
+                    {v: (0.0 if abs(xv) < 1e-12 else float(xv)) for v, xv in values.items()},
+                    pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,93 @@ class TestSimplex:
                     f"trial {trial}"
 
 
+    def test_bounded_variables_without_rows_flip(self):
+        # no rows: the boxed column flips to its upper bound, the others rest
+        # at their single bound or, free and priced at 0, at 0
+        m = det_model(
+            [roc.VariableDecl("x", lower=0.0, upper=3.0), roc.VariableDecl("y", lower=-2.0, upper=5.0),
+             roc.VariableDecl("z", upper=4.0), roc.VariableDecl("w", lower=1.0, upper=1.0),
+             roc.VariableDecl("f")],
+            LinExpr.of({"x": -1.0, "y": 1.0, "z": -1.0, "w": 2.0}), [])
+        sol = roc.simplex_solve(m)
+        assert sol.status == "optimal"
+        assert sol.values == {"w": 1.0, "x": 3.0, "y": -2.0, "z": 4.0, "f": 0.0}
+        assert sol.objective == -7.0
+        assert sol.iterations == 1
+        m = det_model([roc.VariableDecl("f")], LinExpr.of({"f": 1.0}), [])
+        assert roc.simplex_solve(m).status == "unbounded"
+
+    @pytest.mark.parametrize("every", (1, 8, 50))
+    def test_duplicate_equality_rows(self, every, monkeypatch):
+        # a second copy of an "=" row leaves a zero-level artificial (or the
+        # row's fixed slack) basic after phase 1; it must stay at 0 while
+        # phase 2 pushes x up against both copies
+        monkeypatch.setattr(roc.solver, "REFACTOR_EVERY", every)
+        xs = [roc.VariableDecl("x", lower=0.0, upper=10.0), roc.VariableDecl("y", lower=0.0)]
+        rows = [roc.Constraint("a", LinExpr.of({"x": 1.0, "y": 1.0}), "=", 4.0),
+                roc.Constraint("b", LinExpr.of({"x": 1.0, "y": 1.0}), "=", 4.0),
+                roc.Constraint("c", LinExpr.of({"x": 2.0, "y": 2.0}), "=", 8.0),
+                roc.Constraint("d", LinExpr.of({"x": 1.0, "y": -1.0}), "<=", 3.0)]
+        sol = roc.simplex_solve(det_model(xs, LinExpr.of({"x": -1.0}), rows))
+        assert sol.status == "optimal"
+        assert sol.values == {"x": 3.5, "y": 0.5}
+        assert sol.objective == -3.5
+        rows[1] = roc.Constraint("b", LinExpr.of({"x": 1.0, "y": 1.0}), "=", 5.0)
+        assert roc.simplex_solve(det_model(xs, LinExpr.of({"x": -1.0}), rows)).status == "infeasible"
+
+    def test_rows_over_fixed_variables_only(self):
+        xs = [roc.VariableDecl("x", lower=2.0, upper=2.0), roc.VariableDecl("y", lower=0.0)]
+        for sense, rhs, status in (("=", 3.0, "infeasible"), ("=", 2.0, "optimal"),
+                                   ("<=", 1.0, "infeasible"), ("<=", 2.0, "optimal")):
+            m = det_model(xs, LinExpr.of({"y": 1.0}),
+                          [roc.Constraint("r", LinExpr.of({"x": 1.0}), sense, rhs)])
+            assert roc.simplex_solve(m).status == status, (sense, rhs)
+
+    @pytest.mark.parametrize("every", (1, 8, None))
+    def test_mixed_bounds_against_highs(self, every, monkeypatch):
+        # free, upper-only, boxed and fixed columns under "<=" and "=" rows;
+        # the draws include infeasible and unbounded LPs, and some solves
+        # must flip a boxed column instead of pivoting
+        if every is not None:
+            monkeypatch.setattr(roc.solver, "REFACTOR_EVERY", every)
+        flips = []
+        flip = roc.solver._Tableau.flip
+        monkeypatch.setattr(roc.solver._Tableau, "flip",
+                            lambda tab, *a: flips.append(1) or flip(tab, *a))
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for trial in range(60):
+            n = int(rng.integers(2, 7))
+            names = [f"x{i}" for i in range(n)]
+            variables = []
+            for v in names:
+                lo, hi = sorted(map(float, rng.integers(-4, 5, size=2)))
+                kind = rng.choice(["lower", "upper", "box", "free", "fixed"])
+                variables.append(roc.VariableDecl(
+                    v, lower=-INF if kind in ("upper", "free") else lo,
+                    upper={"box": hi + 1.0, "upper": hi, "fixed": lo}.get(kind, INF)))
+            rows = []
+            for j in range(int(rng.integers(0, 6))):
+                a = np.where(rng.uniform(size=n) < 0.7, rng.integers(-3, 4, size=n), 0)
+                rows.append(roc.Constraint(
+                    f"r{j}", LinExpr.of(dict(zip(names, map(float, a)))),
+                    "=" if rng.uniform() < 0.3 else "<=", float(rng.integers(-3, 8))))
+            objective = LinExpr.of(dict(zip(names, map(float, rng.integers(-3, 4, size=n)))))
+            sol = roc.simplex_solve(det_model(variables, objective, rows))
+            model = roc.Model(tuple(variables), "min", objective, tuple(rows))
+            status, expected = scipy_solve(model)
+            if status == "unbounded" and scipy_solve(
+                    roc.Model(tuple(variables), "min", LinExpr(), tuple(rows)))[0] == "infeasible":
+                status = "infeasible"  # HiGHS may report an empty set as unbounded
+            assert sol.status == status, f"trial {trial}"
+            if status == "optimal":
+                assert abs(sol.objective - expected) <= 1e-9 * max(1.0, abs(expected)), \
+                    f"trial {trial}"
+            seen.add(status)
+        assert seen == {"optimal", "infeasible", "unbounded"}
+        assert flips
+
+
 class TestPessimize:
     def test_inf_ball_sign_pattern(self):
         res = pessimize(NormBall(INF, 0.1, 2), np.array([1.0, -2.0]))
