@@ -161,9 +161,9 @@ def run(args) -> int:
         r = _Run(args)
         solutions, skipped = r.solve()
         code = _status_exit(solutions)
+        primary = solutions.get("reformulate") or solutions.get("cutplane")
         report = None
         if code == EXIT_OK:
-            primary = solutions.get("reformulate") or solutions.get("cutplane")
             report = verify_solution(
                 r.pre_ldr, primary, n=args.samples, seed=args.seed,
                 ldr=r.post_ldr.ldr, oracle_gap=_oracle_gap(solutions), tol=args.tol)
@@ -175,7 +175,6 @@ def run(args) -> int:
                  "reason": "no optimal solution"}, sort_keys=True, indent=2) + "\n",
                 args.output)
             return code
-        primary = solutions.get("reformulate") or solutions.get("cutplane")
         body = {
             "roc_schema": 1,
             "kind": "pipeline",

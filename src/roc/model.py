@@ -310,10 +310,7 @@ class UncertainBlock:
 
     def arg_exprs(self) -> tuple[LinExpr, ...]:
         """P^T x as one linear expression per uncertainty coordinate."""
-        out = []
-        for l in range(self.dim):
-            out.append(LinExpr.of({v: self.P[i, l] for i, v in enumerate(self.on)}))
-        return tuple(out)
+        return tuple(LinExpr.of(dict(zip(self.on, column))) for column in self.P.T.tolist())
 
     def __eq__(self, other):
         return (isinstance(other, UncertainBlock)
