@@ -248,7 +248,7 @@ def verify_solution(model: CanonicalModel, sol: Solution, n: int, seed: int,
         base = row.lhs.evaluate(values) - row.rhs
         vals = np.full(len(Z), base)
         if row.uncertainty is not None:
-            w = np.array([e.evaluate(values) for e in row.uncertainty.arg_exprs()])
+            w = row.uncertainty.P.T @ np.array([values[v] for v in row.uncertainty.on])
             vals = vals + Z @ w
         if row.adaptive is not None:
             if ldr is None:
