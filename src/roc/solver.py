@@ -189,7 +189,8 @@ class _Tableau:
             return self.rebuild(self.cost)
         # Gauss-Jordan on the last column turns the distance the leaving
         # value travels to its bound into the entering column's change
-        T[row, -1] -= leave_at
+        if leave_at:
+            T[row, -1] -= leave_at
         T[row] /= T[row, col]
         factors = T[:, col].copy()
         factors[row] = 0.0
@@ -199,7 +200,8 @@ class _Tableau:
         # an exact zero in the pivot row and so keeps its unit entries
         T[:, col] = 0.0
         T[row, col] = 1.0
-        T[row, -1] += start
+        if start:
+            T[row, -1] += start
         self._snap()
         self.updates += 1
         return False
@@ -260,26 +262,24 @@ class _Tableau:
             rising = reduced[col] < 0.0
             g = T[:m, col] if rising else -T[:m, col]  # fall of each basic value per unit step
             x = T[:m, -1]
-            rows = ((g > PIVOT_TOL) & self.has_lo).nonzero()[0]
-            ratios = x[rows] / g[rows]
+            # each basic value falls to its lower bound or rises to its upper one
+            ratios = np.full(m, INF)
+            np.divide(x, g, out=ratios, where=(g > PIVOT_TOL) & self.has_lo)
             if self.n_up:
-                high = ((g < -PIVOT_TOL) & self.has_up).nonzero()[0]
-                if high.size:
-                    rows = np.concatenate((rows, high))
-                    ratios = np.concatenate((ratios, (self.bup[high] - x[high]) / -g[high]))
+                np.divide(x - self.bup, g, out=ratios, where=(g < -PIVOT_TOL) & self.has_up)
+            best = ratios.min(initial=INF)
             span = self.up[col] - self.lo[col]  # the entering column's own range
-            if rows.size == 0 and span == INF:
+            if best == INF and span == INF:
                 if refresh():
                     continue
                 return UNBOUNDED, used
             if used >= pivots_left:
                 return ITERATION_LIMIT, used
             visited.add(key)
-            best = ratios.min() if rows.size else INF
             if span <= best:
                 rolled_back = self.flip(col, span if rising else -span)
             else:
-                ties = rows[ratios == best]  # exact ties: anticycling needs them exact
+                ties = (ratios == best).nonzero()[0]  # exact ties: anticycling needs them exact
                 row = int(ties[self.basis[ties].argmin()])  # Bland: smallest basic index
                 rolled_back = self.pivot(row, col, 0.0 if g[row] > 0.0 else self.bup[row])
             if rolled_back:
