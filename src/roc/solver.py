@@ -121,10 +121,8 @@ class _Tableau:
         # column: -1 where a nonbasic column can rise, +1 where it rests at
         # its upper bound, 0 for basic and fixed columns; free nonbasic
         # columns can move either way
-        self.has_lo = lo[basis] == 0.0
+        self.blo = lo[basis]
         self.bup = up[basis]
-        self.has_up = self.bup < INF
-        self.n_up = int(np.count_nonzero(self.has_up))
         self.sgn = np.where(self.xn == up, 1.0, -1.0)
         self.sgn[lo == up] = 0.0
         self.sgn[basis] = 0.0
@@ -151,10 +149,9 @@ class _Tableau:
         # would make degenerate ties inexact, cutting Bland's anticycling out
         # of the loop
         x = self.T[:self.m, -1]
-        x[(x > -FEAS_TOL) & (x < DEGEN_TOL) & self.has_lo] = 0.0
-        if self.n_up:
-            near = (x > self.bup - DEGEN_TOL) & (x < self.bup + FEAS_TOL)
-            x[near] = self.bup[near]
+        x[(x > self.blo - FEAS_TOL) & (x < self.blo + DEGEN_TOL)] = 0.0
+        near = (x > self.bup - DEGEN_TOL) & (x < self.bup + FEAS_TOL)
+        x[near] = self.bup[near]
 
     def flip(self, col: int, step: float) -> bool:
         """Move nonbasic `col` by `step` onto its other bound; the basis stays."""
@@ -180,17 +177,14 @@ class _Tableau:
             self.free = self.free[self.free != col]
         self.xn[out] = leave_at
         self.xn[col] = 0.0
-        self.has_lo[row] = self.lo[col] == 0.0
+        self.blo[row] = self.lo[col]
         self.bup[row] = self.up[col]
-        self.n_up += int(self.bup[row] < INF) - int(self.has_up[row])
-        self.has_up[row] = self.bup[row] < INF
         self.basis[row] = col
         if self.updates + 1 >= self.every:
             return self.rebuild(self.cost)
         # Gauss-Jordan on the last column turns the distance the leaving
         # value travels to its bound into the entering column's change
-        if leave_at:
-            T[row, -1] -= leave_at
+        T[row, -1] -= leave_at
         T[row] /= T[row, col]
         factors = T[:, col].copy()
         factors[row] = 0.0
@@ -200,8 +194,7 @@ class _Tableau:
         # an exact zero in the pivot row and so keeps its unit entries
         T[:, col] = 0.0
         T[row, col] = 1.0
-        if start:
-            T[row, -1] += start
+        T[row, -1] += start
         self._snap()
         self.updates += 1
         return False
@@ -264,9 +257,8 @@ class _Tableau:
             x = T[:m, -1]
             # each basic value falls to its lower bound or rises to its upper one
             ratios = np.full(m, INF)
-            np.divide(x, g, out=ratios, where=(g > PIVOT_TOL) & self.has_lo)
-            if self.n_up:
-                np.divide(x - self.bup, g, out=ratios, where=(g < -PIVOT_TOL) & self.has_up)
+            np.divide(x - self.blo, g, out=ratios, where=g > PIVOT_TOL)
+            np.divide(x - self.bup, g, out=ratios, where=g < -PIVOT_TOL)
             best = ratios.min(initial=INF)
             span = self.up[col] - self.lo[col]  # the entering column's own range
             if best == INF and span == INF:
@@ -316,13 +308,12 @@ def simplex_solve(model: DeterministicModel, max_pivots: int = MAX_PIVOTS) -> So
     m = len(model.linear_rows)
     A = np.zeros((m, n))
     b = np.zeros(m)
-    eq = np.zeros(m, dtype=bool)
     for i, row in enumerate(model.linear_rows):
         if row.sense not in (LE, EQ):
             raise SolverError(f"row {row.id}: unsupported sense {row.sense!r}")
         A[i], offset = dense(row.lhs)
         b[i] = row.rhs - offset
-        eq[i] = row.sense == EQ
+    eq = np.array([row.sense == EQ for row in model.linear_rows], dtype=bool)
     c, c_offset = dense(model.objective)
     c_offset += model.objective.constant
 
