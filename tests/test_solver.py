@@ -39,7 +39,7 @@ class TestSimplex:
         m = det_model([roc.VariableDecl("x", lower=0.0)], LinExpr.of({"x": -1.0}), [])
         assert roc.simplex_solve(m).status == "unbounded"
 
-    def test_free_variable_split(self):
+    def test_free_variable_column(self):
         m = det_model(
             [roc.VariableDecl("x")],
             LinExpr.of({"x": 1.0}),
@@ -48,7 +48,7 @@ class TestSimplex:
         assert sol.status == "optimal"
         assert abs(sol.values["x"] + 5.0) < 1e-9
 
-    def test_equality_rows_split_at_ingestion(self):
+    def test_equality_rows_native(self):
         m = det_model(
             [roc.VariableDecl("x", lower=0.0), roc.VariableDecl("y", lower=0.0)],
             LinExpr.of({"x": 1.0, "y": 2.0}),
