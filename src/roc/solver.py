@@ -34,7 +34,7 @@ DEGEN_TOL = 1e-11
 MAX_PIVOTS = 100_000
 MAX_ROUNDS = 500
 CUT_POOL = 30  # live cuts kept per norm / uncertain row
-REFACTOR_EVERY = 50  # in-place simplex pivots between refactorizations
+REFACTOR_EVERY = 50  # in-place simplex steps (pivots, bound flips) between refactorizations
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -71,10 +71,11 @@ class _Tableau:
     basic values B^-1 (b - N x_N) in its last column, and the reduced costs
     and minus the objective in its last row.  A step either flips the
     entering column to its other bound, which moves the basic values only,
-    or pivots: a Gauss-Jordan rank-1 update of T.  Every REFACTOR_EVERY
-    steps, and before every terminal decision (optimal, unbounded, phase-1
-    infeasibility, degenerate cycle), T is refactorized from the untouched
-    A_ext/b0 so that the drift of the updates never decides an outcome.  A
+    or pivots: a Gauss-Jordan rank-1 update of T.  Each phase starts with
+    `rebuild` under its own cost.  Every REFACTOR_EVERY steps, and before
+    every terminal decision (optimal, unbounded, phase-1 infeasibility,
+    degenerate cycle), T is refactorized from the untouched A_ext/b0 so
+    that the drift of the updates never decides an outcome.  A
     refactorization that finds the basis singular after in-place pivots
     rolls back to the last factorized basis and refactorizes on every pivot
     for the rest of the solve: on ill-conditioned masters (near-parallel
