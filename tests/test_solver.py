@@ -190,7 +190,6 @@ class TestSimplex:
                 assert abs(sol.objective - expected_obj) <= 1e-7 * max(1.0, abs(expected_obj)), \
                     f"trial {trial}"
 
-
     def test_bounded_variables_without_rows_flip(self):
         # no rows: the boxed column flips to its upper bound, the others rest
         # at their single bound or, free and priced at 0, at 0
