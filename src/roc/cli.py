@@ -8,6 +8,7 @@ or stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -160,13 +161,14 @@ def run(args) -> int:
     if cmd in ("verify", "pipeline"):
         r = _Run(args)
         solutions, skipped = r.solve()
+        gap = _oracle_gap(solutions)
         code = _status_exit(solutions)
         primary = solutions.get("reformulate") or solutions.get("cutplane")
         report = None
         if code == EXIT_OK:
             report = verify_solution(
                 r.pre_ldr, primary, n=args.samples, seed=args.seed,
-                ldr=r.post_ldr.ldr, oracle_gap=_oracle_gap(solutions), tol=args.tol)
+                ldr=r.post_ldr.ldr, oracle_gap=gap, tol=args.tol)
             if report.verdict != "pass":
                 code = EXIT_VERIFY
         if cmd == "verify":
@@ -185,7 +187,7 @@ def run(args) -> int:
             "tol": args.tol,
             "objective": r.original_objective(primary) if primary else None,
             "solutions": {name: to_jsonable(sol) for name, sol in solutions.items()},
-            "oracle_gap": _oracle_gap(solutions),
+            "oracle_gap": gap,
             "cutplane_skipped": skipped,
             "verification": to_jsonable(report) if report else None,
             "exit_code": code,
@@ -194,6 +196,12 @@ def run(args) -> int:
         return code
 
     raise RocError(f"unknown command {cmd!r}")
+
+
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call of a process."""
+    return build_arg_parser()
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -220,7 +228,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _configure_logging()
-    args = build_arg_parser().parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     if args.tol <= 0:
         print("roc: error: --tol must be positive", file=sys.stderr)
         return EXIT_ERROR

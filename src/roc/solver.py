@@ -7,9 +7,15 @@ test, where an entering column may also just flip to its other bound, and
 pivot and refactorized from the original data every REFACTOR_EVERY steps
 and before every terminal decision; entering columns are priced by
 Dantzig's rule, with Bland's anti-cycling rule as the fallback on a repeated
-basis.  One pessimization-based cutting loop solves both the norm rows of
-lowered models and, as the independent oracle for every reformulation,
-canonical robust models directly.
+basis.  A solve can instead start from the optimal basis of an earlier one
+(`Solution.basis`, by column name): rows the start did not know enter with
+their slack basic, which leaves the basis dual feasible, bounded dual
+simplex steps bring the basic values back within their bounds, and the
+primal simplex confirms the optimum.  A start that does not fit is dropped
+for the two-phase path.  One pessimization-based cutting loop solves both
+the norm rows of lowered models and, as the independent oracle for every
+reformulation, canonical robust models directly; each round's master starts
+from the previous round's basis.
 """
 from __future__ import annotations
 
@@ -43,11 +49,27 @@ ITERATION_LIMIT = "iteration-limit"
 
 
 @dataclass(frozen=True)
+class Basis:
+    """A simplex basis by column name, to start a later solve from.
+
+    A structural column is named by its variable id, a row's slack by its
+    row id.  `origin` says how the solve that ended at this basis started:
+    "warm start", "cold start", or "cold start: <why the start was dropped>".
+    """
+
+    basic: frozenset[str]
+    at_upper: frozenset[str]  # nonbasic columns resting at their upper bound
+    columns: frozenset[str]  # every column of the LP
+    origin: str = "cold start"
+
+
+@dataclass(frozen=True)
 class Solution:
     status: str
     objective: float
     values: dict[str, float]
     iterations: int
+    basis: Basis | None = None  # the optimal basis, when optimal
 
 
 @dataclass(frozen=True)
@@ -59,7 +81,7 @@ class PessimizationResult:
 
 
 # ---------------------------------------------------------------------------
-# Two-phase primal simplex
+# Bounded-variable simplex
 # ---------------------------------------------------------------------------
 
 class _Tableau:
@@ -72,7 +94,9 @@ class _Tableau:
     and minus the objective in its last row.  A step either flips the
     entering column to its other bound, which moves the basic values only,
     or pivots: a Gauss-Jordan rank-1 update of T.  Each phase starts with
-    `rebuild` under its own cost.  Every REFACTOR_EVERY steps, and before
+    `rebuild` under its own cost; a warm start rebuilds once at a given basis
+    under the phase-2 cost and takes `dual_iterate` steps before `iterate`.
+    Every REFACTOR_EVERY steps, and before
     every terminal decision (optimal, unbounded, phase-1 infeasibility,
     degenerate cycle), T is refactorized from the untouched A_ext/b0 so
     that the drift of the updates never decides an outcome.  A
@@ -200,6 +224,77 @@ class _Tableau:
         self.updates += 1
         return False
 
+    def refresh(self, visited: set[bytes]) -> bool:
+        """Refactorize a tableau updated in place, so that a terminal
+        decision is taken on a fresh one; False when it already was fresh.
+        A rollback empties `visited`, the states the caller has seen."""
+        if not self.updates:
+            return False
+        if self.rebuild(self.cost):
+            visited.clear()
+        return True
+
+    def gains(self) -> np.ndarray:
+        """Objective decrease per unit move of each column off where it
+        rests, in the direction it has room for (either way when free); no
+        entry is positive at a dual feasible basis."""
+        reduced = self.T[-1, :-1]
+        gain = reduced * self.sgn
+        if self.free.size:
+            gain[self.free] = np.abs(reduced[self.free])
+        return gain
+
+    def dual_iterate(self, pivots_left: int) -> tuple[str | None, int]:
+        """Dual simplex steps from a dual feasible basis until every basic
+        value is within its bounds.
+
+        The leaving row is the basic value furthest outside its bounds, and
+        it leaves at the bound it violates.  The entering column is one that
+        can move that value back, in the direction its bound allows (either
+        way when free), with the smallest |d_j / T[r, j]|, which keeps the
+        reduced costs dual feasible; exact ties go to the largest |T[r, j]|.
+        Returns (None, steps) on a primal feasible, freshly factorized
+        tableau, (ITERATION_LIMIT, steps) at the limit, and otherwise why
+        the dual steps gave up: a repeated state, or no entering column on a
+        freshly factorized tableau (the LP is then infeasible).
+        """
+        T = self.T
+        m = self.m
+        used = 0
+        visited: set[bytes] = set()
+        while True:
+            x = T[:m, -1]
+            # positive only past a bound, and then (after _snap) by FEAS_TOL or more
+            excess = np.maximum(self.blo - x, x - self.bup)
+            if excess.max(initial=0.0) <= 0.0:
+                if self.refresh(visited):
+                    continue
+                return None, used
+            key = self.basis.tobytes() + self.xn.tobytes()
+            if key in visited:
+                return "the dual simplex repeated a basis", used
+            row = int(excess.argmax())
+            rising = x[row] < self.blo[row]
+            # how far x_row moves back toward its bounds per unit step of each
+            # column in the direction its own bounds allow
+            reach = T[row, :-1] * self.sgn if rising else -T[row, :-1] * self.sgn
+            if self.free.size:
+                reach[self.free] = np.abs(T[row, self.free])
+            cols = (reach > PIVOT_TOL).nonzero()[0]
+            if cols.size == 0:
+                if self.refresh(visited):
+                    continue
+                return "the dual simplex found no entering column", used
+            if used >= pivots_left:
+                return ITERATION_LIMIT, used
+            visited.add(key)
+            ratios = np.maximum(-self.gains()[cols], 0.0) / reach[cols]
+            ties = cols[ratios == ratios.min()]
+            col = int(ties[reach[ties].argmax()])
+            if self.pivot(row, col, self.blo[row] if rising else self.bup[row]):
+                visited.clear()
+            used += 1
+
     def iterate(self, pivots_left: int) -> tuple[str, int]:
         """Step under the current cost until optimal/unbounded/limit.
 
@@ -214,24 +309,12 @@ class _Tableau:
         threshold = PIVOT_TOL
         bland = False
         visited: set[bytes] = set()
-
-        def refresh() -> bool:
-            # terminal decisions are taken on a freshly factorized tableau:
-            # refactorize one updated in place and report that it changed
-            if not self.updates:
-                return False
-            if self.rebuild(self.cost):
-                visited.clear()
-            return True
-
         while True:
             reduced = T[-1, :-1]
-            gain = reduced * self.sgn
-            if self.free.size:
-                gain[self.free] = np.abs(reduced[self.free])
+            gain = self.gains()
             candidates = (gain > threshold).nonzero()[0]
             if candidates.size == 0:
-                if refresh():
+                if self.refresh(visited):
                     continue
                 return OPTIMAL, used
             # noise-scale reduced costs can drive a cycle through refactorized
@@ -241,7 +324,7 @@ class _Tableau:
             # demand a clearly improving cost
             key = self.basis.tobytes() + self.xn.tobytes()
             if key in visited:
-                if refresh():
+                if self.refresh(visited):
                     continue
                 if threshold >= FEAS_TOL:
                     log.warning("simplex settled on a degenerate basis cycle")
@@ -263,7 +346,7 @@ class _Tableau:
             best = ratios.min(initial=INF)
             span = self.up[col] - self.lo[col]  # the entering column's own range
             if best == INF and span == INF:
-                if refresh():
+                if self.refresh(visited):
                     continue
                 return UNBOUNDED, used
             if used >= pivots_left:
@@ -280,8 +363,22 @@ class _Tableau:
             used += 1
 
 
-def simplex_solve(model: DeterministicModel, max_pivots: int = MAX_PIVOTS) -> Solution:
-    """Two-phase dense bounded-variable primal simplex over a purely linear model."""
+def simplex_solve(model: DeterministicModel, max_pivots: int = MAX_PIVOTS,
+                  start: Basis | None = None) -> Solution:
+    """Dense bounded-variable simplex over a purely linear model.
+
+    Without `start`, a two-phase primal simplex from the slack basis.
+    `start` is the basis of an earlier solve (`Solution.basis`): the solve
+    factorizes its basic columns, with the slack of every row it did not
+    know, under the objective, takes dual simplex steps until the basic
+    values are within their bounds, and primal steps until optimal.  The
+    start is ignored, and the LP solved cold, when it does not give one
+    basic column per row (a row whose slack was nonbasic is gone), when its
+    basis is singular or not dual feasible, and when the dual steps repeat
+    a state or find no entering column; phase 1 then decides infeasibility.
+    `iterations` counts every step, those of a dropped start included, and
+    the optimal `basis.origin` says how the solve started.
+    """
     if model.soc_rows:
         raise SolverError("simplex cannot handle norm rows; cut them first")
 
@@ -318,41 +415,56 @@ def simplex_solve(model: DeterministicModel, max_pivots: int = MAX_PIVOTS) -> So
     c, c_offset = dense(model.objective)
     c_offset += model.objective.constant
 
-    # one slack per row, in [0, inf) on "<=" rows and [0, 0] on "=" rows; an
-    # artificial where the slack cannot absorb b, the residual at x_N = 0
-    arts = np.flatnonzero(np.where(eq, b != 0.0, b < 0.0))
-    n_art = arts.size
-    art_cols = np.zeros((m, n_art))
-    art_cols[arts, np.arange(n_art)] = np.sign(b[arts])
-    total = n + m + n_art
-    A_ext = np.hstack([A, np.eye(m), art_cols])
-    lo = np.concatenate([[0.0 if v.lower > -INF else -INF for v in cols], np.zeros(m + n_art)])
-    up = np.concatenate([[v.upper - s for v, s in zip(cols, shift)],
-                         np.where(eq, 0.0, INF), np.full(n_art, INF)])
-    basis = np.arange(n, n + m)
-    basis[arts] = n + m + np.arange(n_art)
-    tab = _Tableau(A_ext, b, lo, up, basis)
+    # one slack per row, in [0, inf) on "<=" rows and [0, 0] on "=" rows
+    A_ext = np.hstack([A, np.eye(m)])
+    lo = np.concatenate([[0.0 if v.lower > -INF else -INF for v in cols], np.zeros(m)])
+    up = np.concatenate([[v.upper - s for v, s in zip(cols, shift)], np.where(eq, 0.0, INF)])
+    cost = np.concatenate([c, np.zeros(m)])
+    names = [v.id for v in cols] + [row.id for row in model.linear_rows]
     pivots = 0
+    tab = None
+    origin = "cold start"
+    if start is not None:
+        tab, origin = _warm_tableau(A_ext, b, lo, up, cost, names, start)
+        if tab is not None:
+            why, pivots = tab.dual_iterate(max_pivots)
+            if why == ITERATION_LIMIT:
+                return Solution(ITERATION_LIMIT, math.nan, {}, pivots)
+            if why is not None:
+                tab, origin = None, f"cold start: {why}"
 
-    # Phase 1: minimize the sum of artificials.
-    if n_art:
-        cost1 = np.zeros(total)
-        cost1[n + m:] = 1.0
-        tab.rebuild(cost1)
-        status, used = tab.iterate(max_pivots)
-        pivots += used
-        if status == ITERATION_LIMIT:
-            return Solution(ITERATION_LIMIT, math.nan, {}, pivots)
-        if -tab.T[-1, -1] > FEAS_TOL:  # leftover artificial mass
-            return Solution(INFEASIBLE, math.nan, {}, pivots)
-        # artificials are fixed at 0 from here on: one left basic at zero
-        # level blocks its row and leaves at the first pivot that moves it
-        up[n + m:] = 0.0
+    if tab is None:
+        # an artificial where the slack cannot absorb b, the residual at
+        # x_N = 0; it is named like its row's slack, since the two are never
+        # basic together
+        arts = np.flatnonzero(np.where(eq, b != 0.0, b < 0.0))
+        n_art = arts.size
+        art_cols = np.zeros((m, n_art))
+        art_cols[arts, np.arange(n_art)] = np.sign(b[arts])
+        names += [names[n + i] for i in arts]
+        basis = np.arange(n, n + m)
+        basis[arts] = n + m + np.arange(n_art)
+        tab = _Tableau(np.hstack([A_ext, art_cols]), b, np.concatenate([lo, np.zeros(n_art)]),
+                       np.concatenate([up, np.full(n_art, INF)]), basis)
 
-    # Phase 2: original objective.
-    cost2 = np.zeros(total)
-    cost2[:n] = c
-    tab.rebuild(cost2)
+        # Phase 1: minimize the sum of artificials.
+        if n_art:
+            cost1 = np.zeros(n + m + n_art)
+            cost1[n + m:] = 1.0
+            tab.rebuild(cost1)
+            status, used = tab.iterate(max_pivots - pivots)
+            pivots += used
+            if status == ITERATION_LIMIT:
+                return Solution(ITERATION_LIMIT, math.nan, {}, pivots)
+            if -tab.T[-1, -1] > FEAS_TOL:  # leftover artificial mass
+                return Solution(INFEASIBLE, math.nan, {}, pivots)
+            # artificials are fixed at 0 from here on: one left basic at zero
+            # level blocks its row and leaves at the first pivot that moves it
+            tab.up[n + m:] = 0.0
+
+        # Phase 2: original objective.
+        tab.rebuild(np.concatenate([cost, np.zeros(n_art)]))
+
     status, used = tab.iterate(max_pivots - pivots)
     pivots += used
     if status == ITERATION_LIMIT:
@@ -365,10 +477,41 @@ def simplex_solve(model: DeterministicModel, max_pivots: int = MAX_PIVOTS) -> So
     values = dict(fixed)
     values.update((v.id, s + xj) for v, s, xj in zip(cols, shift, x))
     objective = float(c @ x[:n] + c_offset)
+    basis = Basis(frozenset(names[j] for j in tab.basis),
+                  frozenset(names[j] for j in np.flatnonzero(tab.xn)),
+                  frozenset(names), origin)
     # snap float dust onto zero and return plain floats
     return Solution(OPTIMAL, objective,
                     {v: (0.0 if abs(xv) < 1e-12 else float(xv)) for v, xv in values.items()},
-                    pivots)
+                    pivots, basis)
+
+
+def _warm_tableau(A_ext: np.ndarray, b: np.ndarray, lo: np.ndarray, up: np.ndarray,
+                  cost: np.ndarray, names: list[str], start: Basis) -> tuple[_Tableau | None, str]:
+    """The tableau at `start`'s basis under `cost`, or None and why it does not fit.
+
+    Names the LP does not have are ignored; the slack of every row that
+    `start` did not know is basic.
+    """
+    m = len(b)
+    n = len(names) - m
+    index = {name: j for j, name in enumerate(names)}
+    basic = {index[name] for name in start.basic if name in index}
+    basic.update(n + i for i, name in enumerate(names[n:]) if name not in start.columns)
+    if len(basic) != m:
+        return None, f"cold start: start basis has {len(basic)} basic columns for {m} rows"
+    tab = _Tableau(A_ext, b, lo, up, np.array(sorted(basic), dtype=int))
+    for name in start.at_upper:
+        j = index.get(name)
+        if j is not None and j not in basic and up[j] < INF:
+            tab.xn[j] = up[j]
+    try:
+        tab.rebuild(cost)
+    except SolverError:
+        return None, "cold start: start basis is singular"
+    if (tab.gains() > FEAS_TOL).any():
+        return None, "cold start: start basis is not dual feasible"
+    return tab, "warm start"
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +669,18 @@ def _cutting_loop(kind: str, master: DeterministicModel, gens: list[tuple],
     base(x) + z^T (P^T x_on + c) <= rhs for all z in Z, by cuts on `master`.
 
     Each round pessimizes every generator at the master optimum and adds the
-    violated realizations as cuts; `iterations` counts rounds.  A master LP
-    that ends non-optimal is returned as it is.
+    violated realizations as cuts; `iterations` counts rounds.  Each master
+    after the first starts from the previous one's optimal basis, in which
+    the new cuts' slacks are basic.  A master LP that ends non-optimal is
+    returned as it is.
     """
     pool = _CutPool(master.linear_rows)
+    basis = None
     for round_no in range(1, max_rounds + 1):
-        sol = simplex_solve(replace(master, linear_rows=pool.rows()))
+        sol = simplex_solve(replace(master, linear_rows=pool.rows()), start=basis)
         if sol.status != OPTIMAL:
             return sol
+        basis = sol.basis
         added = 0
         for k, (base, on, P, c, uset, rhs) in enumerate(gens):
             worst = pessimize(uset, P.T @ np.array([sol.values[v] for v in on]) + c)
@@ -543,10 +690,10 @@ def _cutting_loop(kind: str, master: DeterministicModel, gens: list[tuple],
             cut = base + LinExpr.of({v: float(shift[i]) for i, v in enumerate(on)})
             if pool.add(k, Constraint(f"_cut{k}_{round_no}", cut, LE, rhs - float(c @ worst.zstar))):
                 added += 1
-        log.debug("%s round %d: master objective %r, %d cuts added",
-                  kind, round_no, sol.objective, added)
+        log.debug("%s round %d: master objective %r, %d cuts added, %s, %d pivots",
+                  kind, round_no, sol.objective, added, basis.origin, sol.iterations)
         if not added:
-            return Solution(sol.status, sol.objective, sol.values, round_no)
+            return replace(sol, iterations=round_no)
     log.warning("%s cutting loop hit the round limit (%d)", kind, max_rounds)
     return Solution(ITERATION_LIMIT, math.nan, {}, max_rounds)
 

@@ -254,6 +254,20 @@ class TestArtifacts:
         code, _ = run_cli(capsys, "check", EX1)
         assert code == 0
 
+    def test_arg_parser_built_once(self, capsys, monkeypatch):
+        import roc.cli as cli
+
+        built = []
+        build = cli.build_arg_parser
+        monkeypatch.setattr(cli, "build_arg_parser", lambda: built.append(1) or build())
+        cli._arg_parser.cache_clear()
+        try:
+            assert run_cli(capsys, "check", EX1)[0] == 0
+            assert run_cli(capsys, "solve", EX1, "--tol", "0")[0] == 1
+        finally:
+            cli._arg_parser.cache_clear()
+        assert built == [1]
+
 
 class TestDeterminism:
     def test_pipeline_byte_identical(self, capsys, tmp_path):

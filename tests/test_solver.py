@@ -277,6 +277,127 @@ class TestSimplex:
         assert flips
 
 
+class TestWarmStart:
+    @staticmethod
+    def highs_status(variables, objective, rows):
+        model = roc.Model(tuple(variables), "min", objective, tuple(rows))
+        status, expected = scipy_solve(model)
+        if status != "optimal":  # HiGHS may mistake an empty set and an unbounded LP
+            feasible = scipy_solve(roc.Model(tuple(variables), "min", LinExpr(), tuple(rows)))
+            status = "unbounded" if feasible[0] == "optimal" else "infeasible"
+        return status, expected
+
+    @staticmethod
+    def mixed_lp(rng):
+        # free, upper-only, boxed and fixed columns under "<=" and "=" rows
+        n = int(rng.integers(2, 7))
+        names = [f"x{i}" for i in range(n)]
+        variables = []
+        for v in names:
+            lo, hi = sorted(map(float, rng.integers(-4, 5, size=2)))
+            kind = rng.choice(["lower", "upper", "box", "free", "fixed"])
+            variables.append(roc.VariableDecl(
+                v, lower=-INF if kind in ("upper", "free") else lo,
+                upper={"box": hi + 1.0, "upper": hi, "fixed": lo}.get(kind, INF)))
+        rows = []
+        for j in range(int(rng.integers(1, 6))):
+            a = np.where(rng.uniform(size=n) < 0.7, rng.integers(-3, 4, size=n), 0)
+            rows.append(roc.Constraint(
+                f"r{j}", LinExpr.of(dict(zip(names, map(float, a)))),
+                "=" if rng.uniform() < 0.3 else "<=", float(rng.integers(-3, 8))))
+        objective = LinExpr.of(dict(zip(names, map(float, rng.integers(-3, 4, size=n)))))
+        return names, variables, objective, rows
+
+    @pytest.mark.parametrize("every", (1, 8, None))
+    def test_cuts_against_highs_and_cold(self, every, monkeypatch):
+        # re-solve each optimal LP from its basis after appending 1-3 rows
+        # that cut off its optimum, or a pair of rows that empties it
+        if every is not None:
+            monkeypatch.setattr(roc.solver, "REFACTOR_EVERY", every)
+        rng = np.random.default_rng(2025)
+        origins = []
+        seen = set()
+        for trial in range(150):
+            names, variables, objective, rows = self.mixed_lp(rng)
+            first = roc.simplex_solve(det_model(variables, objective, rows))
+            if first.status != "optimal":
+                continue
+            x = np.array([first.values[v] for v in names])
+            cuts = []
+            for k in range(int(rng.integers(1, 4))):
+                a = rng.integers(-3, 4, size=len(names)).astype(float)
+                cuts.append(roc.Constraint(f"cut{k}", LinExpr.of(dict(zip(names, a))),
+                                           "=" if rng.uniform() < 0.2 else "<=",
+                                           float(a @ x) - float(rng.integers(1, 4))))
+            # the first cut and its mirror image 0.5 beyond it leave no point
+            cut = cuts[0]
+            empty = [cut, roc.Constraint("cut_back", LinExpr.of({v: -c for v, c in cut.lhs.terms}),
+                                         "<=", -cut.rhs - 0.5)]
+            for extra in (cuts, empty):
+                m = det_model(variables, objective, rows + extra)
+                warm = roc.simplex_solve(m, start=first.basis)
+                cold = roc.simplex_solve(m)
+                status, expected = self.highs_status(variables, objective, rows + extra)
+                assert warm.status == cold.status == status, f"trial {trial}"
+                seen.add(status)
+                if status == "optimal":
+                    assert abs(warm.objective - expected) <= 1e-9 * max(1.0, abs(expected)), \
+                        f"trial {trial}"
+                    assert rel_close(warm.objective, cold.objective, 1e-9), f"trial {trial}"
+                    origins.append(warm.basis.origin)
+        assert seen == {"optimal", "infeasible"}
+        assert origins.count("warm start") == len(origins) > 10
+
+    def test_cuts_that_empty_the_lp(self):
+        # the dual simplex finds no entering column; phase 1 of a cold solve
+        # decides the status
+        xs = [roc.VariableDecl("x", lower=0.0, upper=4.0), roc.VariableDecl("y", lower=0.0)]
+        rows = [roc.Constraint("r", LinExpr.of({"x": 1.0, "y": 1.0}), "<=", 5.0)]
+        objective = LinExpr.of({"x": -2.0, "y": -1.0})
+        first = roc.simplex_solve(det_model(xs, objective, rows))
+        assert first.status == "optimal"
+        rows += [roc.Constraint("c1", LinExpr.of({"x": 1.0}), "<=", 1.0),
+                 roc.Constraint("c2", LinExpr.of({"x": -1.0, "y": -1.0}), "<=", -6.0)]
+        warm = roc.simplex_solve(det_model(xs, objective, rows), start=first.basis)
+        assert warm.status == self.highs_status(xs, objective, rows)[0] == "infeasible"
+        assert warm.iterations >= 1  # the dual steps taken are counted
+
+    def test_start_without_its_binding_row_solves_cold(self):
+        xs = [roc.VariableDecl("x", lower=0.0, upper=3.0),
+              roc.VariableDecl("y", lower=0.0, upper=3.0)]
+        objective = LinExpr.of({"x": -1.0, "y": -1.0})
+        rows = [roc.Constraint("r1", LinExpr.of({"x": 1.0, "y": 2.0}), "<=", 4.0),
+                roc.Constraint("r2", LinExpr.of({"x": 2.0, "y": 1.0}), "<=", 4.0)]
+        first = roc.simplex_solve(det_model(xs, objective, rows))
+        assert first.basis.basic == {"x", "y"}  # both rows bind
+        m = det_model(xs, objective, rows[1:])
+        sol = roc.simplex_solve(m, start=first.basis)
+        cold = roc.simplex_solve(m)
+        assert sol.basis.origin == "cold start: start basis has 2 basic columns for 1 rows"
+        assert (sol.status, sol.objective, sol.values) == (cold.status, cold.objective, cold.values)
+        assert sol.objective == -3.5
+
+    def test_unknown_names_are_ignored(self):
+        xs = [roc.VariableDecl("x", lower=0.0, upper=3.0), roc.VariableDecl("y", lower=0.0)]
+        objective = LinExpr.of({"x": -1.0, "y": -1.0})
+        rows = [roc.Constraint("r1", LinExpr.of({"x": 1.0, "y": 2.0}), "<=", 4.0)]
+        first = roc.simplex_solve(det_model(xs, objective, rows))
+        assert first.basis.at_upper == {"x"}
+        start = roc.solver.Basis(first.basis.basic | {"gone"}, first.basis.at_upper | {"r9"},
+                                 first.basis.columns | {"gone", "r9"})
+        again = roc.simplex_solve(det_model(xs, objective, rows), start=start)
+        assert again.basis.origin == "warm start"
+        assert again.iterations == 0
+        assert again.values == first.values
+        rows.append(roc.Constraint("cut", LinExpr.of({"x": 1.0, "y": 1.0}), "<=", 3.0))
+        warm = roc.simplex_solve(det_model(xs, objective, rows), start=start)
+        cold = roc.simplex_solve(det_model(xs, objective, rows))
+        assert warm.basis.origin == "warm start"
+        assert warm.status == cold.status == "optimal"
+        assert rel_close(warm.objective, cold.objective, 1e-12)
+        assert warm.objective == -3.0
+
+
 class TestPessimize:
     def test_inf_ball_sign_pattern(self):
         res = pessimize(NormBall(INF, 0.1, 2), np.array([1.0, -2.0]))
@@ -395,6 +516,18 @@ class TestCuttingPlane:
             assert sol.status == "optimal"
             assert len(caplog.records) == sol.iterations > 1
             assert all(r.levelname == "DEBUG" for r in caplog.records)
+
+    def test_debug_line_shows_start(self, caplog):
+        # the first master solves cold, every later one from the previous basis
+        _, _, post, _, det = full_pipeline(fixture_text("ex1.roc"))
+        for solve, model in ((roc.solve_deterministic, det), (roc.cutting_plane_solve, post)):
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="roc"):
+                sol = solve(model)
+            lines = [r.getMessage() for r in caplog.records]
+            assert len(lines) == sol.iterations > 1
+            assert lines[0].endswith("pivots") and ", cold start, " in lines[0]
+            assert all(", warm start, " in line for line in lines[1:]), lines
 
     def test_near_parallel_cut_conditioning(self):
         # regression: accumulating near-parallel cone cuts once drifted the
