@@ -4,6 +4,13 @@
   rho*||w||_inf ->  rho * t           with  t >= w_i, t >= -w_i  for all i
   rho*||w||_q   ->  rho * t           with  t >= ||w||_q (a norm row), any other q
 
+Sign rule: a coordinate w_i whose interval over the variable bounds lies in
+[0, inf) has sign s_i = +1, one in (-inf, 0] has s_i = -1 (the interval, or
+Soyster, case of the support function).  Then |w_i| = s_i * w_i exactly, so
+for q = 1 the coordinate adds rho * s_i * w_i to the row with no t_i and no
+rows, and for q = inf only the row t >= s_i * w_i stays; its other half is
+implied by t >= 0.  Coordinates of unknown sign lower as above.
+
 Zero-weight terms vanish.  Norm rows (second-order cones for q = 2) are
 enforced by the solver's cutting loop.
 """
@@ -41,18 +48,34 @@ class DeterministicModel:
                 and self.soc_rows == other.soc_rows)
 
 
-def _abs_rows(row_id: str, term_idx: int, t_id: str, i: int, w: LinExpr) -> tuple[Constraint, Constraint]:
-    # t >= w and t >= -w, stored as "<=" rows.
+def _sign(w: LinExpr, bounds: dict[str, tuple[float, float]]) -> int:
+    """+1 if w >= 0 on the variable box, -1 if w <= 0, 0 if unknown."""
+    lo = hi = w.constant
+    for v, c in w.terms:
+        lower, upper = bounds[v]
+        if c > 0.0:
+            lo, hi = lo + c * lower, hi + c * upper
+        elif c < 0.0:
+            lo, hi = lo + c * upper, hi + c * lower
+    return 1 if lo >= 0.0 else -1 if hi <= 0.0 else 0
+
+
+def _abs_rows(row_id: str, term_idx: int, t_id: str, i: int, w: LinExpr,
+              sign: int) -> list[Constraint]:
+    # t >= w and t >= -w, stored as "<=" rows; a known sign keeps one half.
     t = LinExpr.of({t_id: 1.0})
-    return (
-        Constraint(f"{row_id}_a{term_idx}_{i}p", w - t, LE, 0.0),
-        Constraint(f"{row_id}_a{term_idx}_{i}n", expr_negate(w) - t, LE, 0.0),
-    )
+    rows = []
+    if sign >= 0:
+        rows.append(Constraint(f"{row_id}_a{term_idx}_{i}p", w - t, LE, 0.0))
+    if sign <= 0:
+        rows.append(Constraint(f"{row_id}_a{term_idx}_{i}n", expr_negate(w) - t, LE, 0.0))
+    return rows
 
 
 def lower_norms(model: RcModel) -> DeterministicModel:
     """Replace every symbolic norm term by auxiliary variables and rows."""
     variables = list(model.vars)
+    bounds = {v.id: (v.lower, v.upper) for v in model.vars}
     lin_rows: list[Constraint] = []
     soc_rows: list[NormRow] = []
     counter = 0
@@ -65,17 +88,21 @@ def lower_norms(model: RcModel) -> DeterministicModel:
                 continue
             counter += 1
             if term.q == 1.0:
-                t_ids = [f"_t{counter}_{i + 1}" for i in range(len(term.arg))]
-                variables.extend(VariableDecl(t, lower=0.0) for t in t_ids)
-                lhs = lhs + LinExpr.of({t: term.weight for t in t_ids})
-                for i, (t_id, w) in enumerate(zip(t_ids, term.arg), start=1):
-                    sign_rows.extend(_abs_rows(row.id, k, t_id, i, w))
+                for i, w in enumerate(term.arg, start=1):
+                    sign = _sign(w, bounds)
+                    if sign:
+                        lhs = lhs + w.scaled(sign * term.weight)
+                        continue
+                    t_id = f"_t{counter}_{i}"
+                    variables.append(VariableDecl(t_id, lower=0.0))
+                    lhs = lhs + LinExpr.of({t_id: term.weight})
+                    sign_rows.extend(_abs_rows(row.id, k, t_id, i, w, 0))
             elif term.q == INF:
                 t_id = f"_t{counter}"
                 variables.append(VariableDecl(t_id, lower=0.0))
                 lhs = lhs + LinExpr.of({t_id: term.weight})
                 for i, w in enumerate(term.arg, start=1):
-                    sign_rows.extend(_abs_rows(row.id, k, t_id, i, w))
+                    sign_rows.extend(_abs_rows(row.id, k, t_id, i, w, _sign(w, bounds)))
             else:
                 t_id = f"_t{counter}"
                 variables.append(VariableDecl(t_id, lower=0.0))

@@ -130,10 +130,17 @@ def scipy_solve_lowered(det: roc.DeterministicModel):
     return res.fun + det.objective.constant
 
 
-def dense_ball_text(n: int, m: int, p: str, seed: int, r: float = 0.1) -> str:
+def dense_ball_text(n: int, m: int, p: str, seed: int, r: float = 0.1,
+                    mixed: bool = False) -> str:
     """.roc source of a dense max model: n variables in [0, 10], m rows with
     coefficients in [1, 5] and rhs in [50, 100], each row under a p-ball on
-    every variable (the family of the ROADMAP's baseline table)."""
+    every variable (the family of the ROADMAP's baseline table).
+
+    By default P is the identity, so every norm argument is nonnegative and
+    lowers without sign rows.  `mixed` gives each row a dense P with entries
+    in [-1, 1] instead, whose arguments have no sign the bounds fix: the
+    sign-row lowerings of those rows are the largest LPs the pipeline builds.
+    """
     rng = np.random.default_rng(seed)
     names = [f"x{j + 1}" for j in range(n)]
 
@@ -143,8 +150,12 @@ def dense_ball_text(n: int, m: int, p: str, seed: int, r: float = 0.1) -> str:
     lines = [f"var {v} >= 0 <= 10;" for v in names]
     lines.append(f"max: {expr(rng.uniform(1, 5, n))};")
     for i in range(m):
-        lines.append(f"c{i + 1}: {expr(rng.uniform(1, 5, n))} <= {rng.uniform(50, 100):.2f} "
-                     f"uncertain(on=[{', '.join(names)}], Z=ball(p={p}, r={r}, dim={n}));")
+        row = f"c{i + 1}: {expr(rng.uniform(1, 5, n))} <= {rng.uniform(50, 100):.2f} "
+        P = ""
+        if mixed:
+            P = "P=[" + ", ".join("[" + ", ".join(f"{x:.2f}" for x in line) + "]"
+                                  for line in rng.uniform(-1, 1, (n, n))) + "], "
+        lines.append(f"{row}uncertain(on=[{', '.join(names)}], {P}Z=ball(p={p}, r={r}, dim={n}));")
     return "\n".join(lines) + "\n"
 
 

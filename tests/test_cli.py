@@ -200,9 +200,11 @@ class TestArtifacts:
         assert json.loads(out)["kind"] == "deterministic"
 
     def test_lower_json_has_no_negative_zero_rhs(self, capsys):
-        # sign rows t >= w, t >= -w fold their zero constant to a +0.0 rhs
-        code, out = run_cli(capsys, "lower", EX1)
+        # sign rows t >= w, t >= -w fold their zero constant to a +0.0 rhs;
+        # the intersection's free splitters keep both sign rows
+        code, out = run_cli(capsys, "lower", INTERSECT)
         assert code == 0
+        assert '"id": "c_a2_1n"' in out
         assert '"rhs": 0.0' in out
         assert '"rhs": -0.0' not in out
 

@@ -2,11 +2,12 @@
 import math
 
 import numpy as np
+import pytest
 
 import roc
 from roc import LinExpr
 
-from support import fixture_text, full_pipeline, rel_close
+from support import dense_ball_text, fixture_text, full_pipeline, rel_close, scipy_solve_lowered
 
 INF = math.inf
 
@@ -22,16 +23,165 @@ def rc_single_row(uset, coeffs, rhs, bounds=(0.0, INF)):
         rows=(row,))
 
 
+def lower_one_term(q, args, bounds, weight=0.5):
+    """Lower the row 0 + weight*||args||_q <= 1 over variables with `bounds`."""
+    rcm = roc.RcModel(
+        vars=tuple(roc.VariableDecl(v, lower=lo, upper=hi) for v, (lo, hi) in bounds.items()),
+        objective=LinExpr.of({}),
+        rows=(roc.Constraint("c", LinExpr.of({}), "<=", 1.0,
+                             norm_terms=(roc.NormTerm(weight, q, tuple(args)),)),))
+    return roc.lower_norms(rcm)
+
+
+def sign_row_ids(det):
+    return [r.id for r in det.linear_rows if r.id != "c"]
+
+
+POS, NEG, FREE = (0.0, INF), (-INF, 0.0), (-INF, INF)
+
+# (argument, variable bounds, sign the bounds fix: +1, -1 or 0 for unknown)
+SIGN_CASES = [
+    (LinExpr.of({"x": 2.0}), {"x": POS}, 1),                     # x >= 0
+    (LinExpr.of({"x": -2.0}), {"x": POS}, -1),
+    (LinExpr.of({"x": 2.0}), {"x": NEG}, -1),                    # x <= 0
+    (LinExpr.of({"x": 1.0, "y": -1.0}), {"x": POS, "y": NEG}, 1),
+    (LinExpr.of({"x": 1.0}, -1.0), {"x": (2.0, 5.0)}, 1),        # shifted box
+    (LinExpr.of({"x": 1.0}, -6.0), {"x": (2.0, 5.0)}, -1),
+    (LinExpr.of({"x": -1.0}, 5.0), {"x": (2.0, 5.0)}, 1),        # lo = 0 exactly
+    (LinExpr.of({"x": 1.0}, -3.0), {"x": (2.0, 5.0)}, 0),
+    (LinExpr.of({"x": 1.0}, -4.5), {"x": (2.0, 5.0)}, 0),        # hi = 0.5
+    (LinExpr.of({"x": 1.0}, -2.5), {"x": (2.0, 5.0)}, 0),        # lo = -0.5
+    (LinExpr.of({}, -2.0), {}, -1),                               # constant only
+    (LinExpr.of({"x": 1.0}), {"x": FREE}, 0),                    # free
+    (LinExpr.of({"x": 1.0, "y": 1.0}), {"x": POS, "y": FREE}, 0),
+    (LinExpr.of({"x": 1.0, "y": -1.0}), {"x": POS, "y": POS}, 0),  # inf - inf
+    (LinExpr.of({"x": 1.0, "y": 3.0}), {"x": POS, "y": (1.0, INF)}, 1),
+    (LinExpr.of({"x": -1.0, "y": 3.0}), {"x": POS, "y": NEG}, -1),
+]
+
+
+def boxed_sign_instance(seed: int) -> roc.CanonicalModel:
+    """Boxed robust model under inf- and 1-balls whose rows' arguments P^T x
+    are one-signed, mixed (some coordinates signed) or of either sign.
+
+    Boxes are [0, 10], [-10, 0] or [-4, 6]; x = 0 is strictly feasible and
+    the box keeps the model bounded.  A signed coordinate takes P_il with
+    the sign of x_i's box (times a coordinate sign) and 0 on [-4, 6].
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    boxes = [((0.0, 10.0), 1.0), ((-10.0, 0.0), -1.0), ((-4.0, 6.0), 0.0)]
+    picks = [boxes[int(k)] for k in rng.integers(0, 3, n)]
+    names = [f"x{i + 1}" for i in range(n)]
+    variables = tuple(roc.VariableDecl(v, lower=b[0], upper=b[1])
+                      for v, (b, _) in zip(names, picks))
+    box_sign = np.array([sgn for _, sgn in picks])
+    rows = []
+    for i in range(int(rng.integers(1, 5))):
+        L = int(rng.integers(1, 5))
+        signed = {0: np.ones(L, bool), 1: rng.uniform(size=L) < 0.5,
+                  2: np.zeros(L, bool)}[i % 3]
+        P = rng.uniform(-1, 1, (n, L))
+        col_sign = rng.choice([-1.0, 1.0], L)
+        P[:, signed] = (np.abs(P) * np.outer(box_sign, col_sign))[:, signed]
+        uset = roc.NormBall(INF if rng.uniform() < 0.5 else 1.0, float(rng.uniform(0.1, 1.0)), L)
+        a = rng.uniform(-3, 3, n)
+        rows.append(roc.Constraint(
+            f"r{i + 1}", LinExpr.of(dict(zip(names, a))), "<=", float(rng.uniform(1, 5)),
+            uncertainty=roc.UncertainBlock(tuple(names), P, uset)))
+    objective = LinExpr.of(dict(zip(names, rng.uniform(-5, 5, n))))
+    return roc.CanonicalModel(vars=variables, objective=objective, rows=tuple(rows))
+
+
+class TestSignRule:
+    @pytest.mark.parametrize("w, bounds, sign", SIGN_CASES)
+    def test_inf_norm_keeps_the_half_the_sign_needs(self, w, bounds, sign):
+        det = lower_one_term(INF, [w], bounds)
+        expected = {1: ["c_a1_1p"], -1: ["c_a1_1n"], 0: ["c_a1_1p", "c_a1_1n"]}[sign]
+        assert sign_row_ids(det) == expected
+        assert [v.id for v in det.vars[len(bounds):]] == ["_t1"]
+        for row in det.linear_rows:
+            assert all(math.isfinite(c) for _, c in row.lhs.terms)
+            assert math.isfinite(row.rhs)
+
+    @pytest.mark.parametrize("w, bounds, sign", SIGN_CASES)
+    def test_one_norm_of_known_sign_is_linear(self, w, bounds, sign):
+        det = lower_one_term(1.0, [w], bounds)
+        c = det.linear_rows[0]
+        if sign:
+            assert sign_row_ids(det) == []
+            assert len(det.vars) == len(bounds)
+            assert c.lhs == w.scaled(0.5 * sign).drop_constant()
+            assert c.rhs == 1.0 - 0.5 * sign * w.constant
+        else:
+            assert sign_row_ids(det) == ["c_a1_1p", "c_a1_1n"]
+            assert [v.id for v in det.vars[len(bounds):]] == ["_t1_1"]
+            assert c.lhs == LinExpr.of({"_t1_1": 0.5})
+
+    def test_mixed_row_one_norm(self):
+        # coordinates x >= 0, -y <= 0 and x - y (unknown): only the third
+        # keeps its aux variable and rows, under its own index
+        args = [LinExpr.of({"x": 1.0}), LinExpr.of({"y": -1.0}), LinExpr.of({"x": 1.0, "y": -1.0})]
+        det = lower_one_term(1.0, args, {"x": POS, "y": POS})
+        assert sign_row_ids(det) == ["c_a1_3p", "c_a1_3n"]
+        assert [v.id for v in det.vars] == ["x", "y", "_t1_3"]
+        assert det.linear_rows[0].lhs == LinExpr.of({"x": 0.5, "y": 0.5, "_t1_3": 0.5})
+
+    def test_mixed_row_inf_norm(self):
+        args = [LinExpr.of({"x": 1.0}), LinExpr.of({"y": -1.0}), LinExpr.of({"x": 1.0, "y": -1.0})]
+        det = lower_one_term(INF, args, {"x": POS, "y": POS})
+        assert sign_row_ids(det) == ["c_a1_1p", "c_a1_2n", "c_a1_3p", "c_a1_3n"]
+        assert [v.id for v in det.vars] == ["x", "y", "_t1"]
+        assert det.linear_rows[0].lhs == LinExpr.of({"_t1": 0.5})
+
+    def test_identity_ball_family_has_no_unneeded_sign_rows(self):
+        # the baseline family (identity P on x in [0, 10]): an inf-ball row
+        # lowers to one row, a 1-ball row to one t and its n "p" rows
+        n, m = 12, 6
+        for p, rows, aux in (("inf", m, 0), ("1", m + m * n, m)):
+            _, _, _, rcm, det = full_pipeline(dense_ball_text(n, m, p, seed=1))
+            assert len(det.linear_rows) == rows, p
+            assert len(det.vars) - len(rcm.vars) == aux, p
+            assert rel_close(roc.solve_deterministic(det).objective,
+                             scipy_solve_lowered(det), 1e-9), p
+
+    def test_boxed_models_agree_with_cutting_plane_and_highs(self):
+        halves = {"p": 0, "n": 0, "both": 0}
+        linear = 0
+        for seed in range(30):
+            cm = boxed_sign_instance(seed)
+            rcm = roc.robustify_model(cm)
+            det = roc.lower_norms(rcm)
+            ref = roc.solve_deterministic(det)
+            cut = roc.cutting_plane_solve(cm)
+            assert ref.status == cut.status == "optimal", seed
+            assert rel_close(ref.objective, cut.objective, 1e-9), seed
+            assert rel_close(ref.objective, scipy_solve_lowered(det), 1e-9), seed
+            ids = {r.id for r in det.linear_rows}
+            for rid in ids:
+                if rid.endswith("p"):
+                    halves["both" if rid[:-1] + "n" in ids else "p"] += 1
+                elif rid.endswith("n") and rid[:-1] + "p" not in ids:
+                    halves["n"] += 1
+            linear += sum(len(term.arg) for row in rcm.rows for term in row.norm_terms
+                          if term.q == 1.0)
+            linear -= sum(1 for v in det.vars if v.id.startswith("_t") and v.id.count("_") == 2)
+        # the draw covers every case of the rule
+        assert min(halves.values()) > 0, halves
+        assert linear > 0
+
+
 class TestLowering:
     def test_example1_inf_ball_sign_rows(self):
-        # q=1 lowering of the capacity row: 4 aux vars, 8 sign rows
+        # the capacity row's q=1 term is over x >= 0, so every coordinate has
+        # a known sign: no aux vars, no sign rows, and 0.1*x_i joins the lhs
         _, _, _, rcm, det = full_pipeline(fixture_text("ex1.roc"))
-        c2_sign_rows = [r for r in det.linear_rows if r.id.startswith("c2_a")]
-        assert len(c2_sign_rows) == 8
+        assert not [r for r in det.linear_rows if r.id.startswith("c2_a")]
+        rc_c2 = next(r for r in rcm.rows if r.id == "c2")
         c2 = next(r for r in det.linear_rows if r.id == "c2")
-        t_ids = [v for v in c2.lhs.vars() if v.startswith("_t")]
-        assert len(t_ids) == 4
-        assert all(c2.lhs.coeff(t) == 0.1 for t in t_ids)
+        assert not [v for v in c2.lhs.vars() if v.startswith("_t")]
+        assert c2.lhs == rc_c2.lhs + LinExpr.of({f"x{i}": 0.1 for i in range(1, 5)})
+        assert c2.rhs == rc_c2.rhs
 
     def test_zero_weight_pruned(self):
         cm = rc_single_row(roc.NormBall(2.0, 0.0, 1), {"x": 1.0}, 1.0)
@@ -58,7 +208,7 @@ class TestLowering:
     def test_new_variable_count(self):
         # one q=1 term of length L, one q=inf term, one q=2 term
         fixtures = {
-            "ex1.roc": 4 + 1,          # q1 over 4 coords + one cone t
+            "ex1.roc": 1,              # q1 over 4 coords of known sign + one cone t
             "diet.roc": 1,             # 1-ball -> q=inf -> single t
             "intersect.roc": 4 + 1 + 1,  # 2 splitters x 2 coords + cone t + q1... see below
         }

@@ -102,11 +102,11 @@ class TestSimplex:
     @pytest.mark.parametrize("p", ["inf", "1"])
     @pytest.mark.parametrize("n, m", [(12, 6), (16, 8)])
     def test_dense_ball_models_against_highs(self, n, m, p, monkeypatch):
-        # sign-row lowerings of dense inf- and 1-balls are the largest LPs the
-        # pipeline builds; a short interval makes every solve refactorize
-        # periodically after in-place pivots
+        # sign-row lowerings of dense inf- and 1-balls with a mixed-sign P are
+        # the largest LPs the pipeline builds; a short interval makes every
+        # solve refactorize periodically after in-place pivots
         monkeypatch.setattr(roc.solver, "REFACTOR_EVERY", 8)
-        det = full_pipeline(dense_ball_text(n, m, p, seed=n))[4]
+        det = full_pipeline(dense_ball_text(n, m, p, seed=n, mixed=True))[4]
         sol = roc.solve_deterministic(det)
         assert sol.status == "optimal"
         assert sol.iterations > 8
@@ -116,7 +116,7 @@ class TestSimplex:
         # a refactorization that finds the basis singular after in-place
         # pivots returns to the last factorized basis and refactorizes on
         # every pivot from then on; the answer does not change
-        det = full_pipeline(dense_ball_text(12, 6, "inf", seed=12))[4]
+        det = full_pipeline(dense_ball_text(12, 6, "inf", seed=12, mixed=True))[4]
         expected = roc.solve_deterministic(det)
         factor = roc.solver._Tableau._factor
         failed = []
@@ -142,7 +142,7 @@ class TestSimplex:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(roc.solver._Tableau, "_factor", singular)
-        det = full_pipeline(dense_ball_text(12, 6, "inf", seed=12))[4]
+        det = full_pipeline(dense_ball_text(12, 6, "inf", seed=12, mixed=True))[4]
         with pytest.raises(roc.SolverError, match="numerically singular"):
             roc.solve_deterministic(det)
 
