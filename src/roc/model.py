@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -220,6 +221,12 @@ class Polyhedral(UncertaintySet):
 
     def contains_zero(self) -> bool:
         return bool(np.all(self.d >= 0.0))
+
+    @cached_property
+    def extremes(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """`solver.coordinate_extremes` of the set, solved once per instance."""
+        from .solver import coordinate_extremes  # the solver builds on this module
+        return coordinate_extremes(self)
 
     def __eq__(self, other):
         return (isinstance(other, Polyhedral)

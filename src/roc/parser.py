@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import solver
 from .errors import DimensionError, ModelError, RocError, SolverError
 from .model import (EQ, GE, HERE_AND_NOW, LE, WAIT_AND_SEE, Constraint,
                     Intersection, LinExpr, MinkowskiSum, Model, NormBall,
@@ -97,9 +96,9 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
-        # (D bytes, d bytes, D shape) of polytopes already shown bounded, so a
+        # (D bytes, d bytes, D shape) -> the polytope, already shown bounded: a
         # set repeated on many rows costs its 2L coordinate LPs once per parse
-        self.bounded_polys: set[tuple] = set()
+        self.polys: dict[tuple, Polyhedral] = {}
 
     # ------------------------------------------------------------------ util
 
@@ -242,17 +241,19 @@ class _Parser:
                 pset = Polyhedral(np.array(D), np.array(d))
             except (ModelError, DimensionError) as exc:
                 self.fail(tok, str(exc), DIMENSION)
+            # one instance per distinct set: verification's stress points
+            # reuse the extremes solved here
             key = (pset.D.tobytes(), pset.d.tobytes(), pset.D.shape)
-            if key not in self.bounded_polys:
+            if key not in self.polys:
                 # boundedness via 2L coordinate LPs; 0 in Z is exactly d >= 0
                 if not pset.contains_zero():
                     self.fail(tok, "polyhedral set must contain 0 (needs d >= 0)", DIMENSION)
                 try:
-                    solver.coordinate_extremes(pset)
+                    pset.extremes
                 except SolverError as exc:
                     self.fail(tok, str(exc), UNBOUNDED_SET)
-                self.bounded_polys.add(key)
-            return pset
+                self.polys[key] = pset
+            return self.polys[key]
         if name in ("intersect", "minkowski"):
             self.expect("(")
             members = [self.uncertainty_set()]

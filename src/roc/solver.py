@@ -7,15 +7,14 @@ test, where an entering column may also just flip to its other bound, and
 pivot and refactorized from the original data every REFACTOR_EVERY steps
 and before every terminal decision; entering columns are priced by
 Dantzig's rule, with Bland's anti-cycling rule as the fallback on a repeated
-basis.  A solve can instead start from the optimal basis of an earlier one
-(`Solution.basis`, by column name): rows the start did not know enter with
-their slack basic, which leaves the basis dual feasible, bounded dual
-simplex steps bring the basic values back within their bounds, and the
-primal simplex confirms the optimum.  A start that does not fit is dropped
-for the two-phase path.  One pessimization-based cutting loop solves both
-the norm rows of lowered models and, as the independent oracle for every
-reformulation, canonical robust models directly; each round's master starts
-from the previous round's basis.
+basis.  One pessimization-based cutting loop solves both the norm rows of
+lowered models and, as the independent oracle for every reformulation,
+canonical robust models directly.  It keeps one master tableau: a new cut is
+one appended row whose slack is basic, which leaves the optimal basis dual
+feasible, so bounded dual simplex steps restore primal feasibility and the
+primal simplex confirms the optimum; a cut that leaves the pool with its
+slack basic is deleted in place.  Evicting a binding cut, and a dual phase
+that repeats a state or finds no entering column, re-solve the master cold.
 """
 from __future__ import annotations
 
@@ -49,27 +48,11 @@ ITERATION_LIMIT = "iteration-limit"
 
 
 @dataclass(frozen=True)
-class Basis:
-    """A simplex basis by column name, to start a later solve from.
-
-    A structural column is named by its variable id, a row's slack by its
-    row id.  `origin` says how the solve that ended at this basis started:
-    "warm start", "cold start", or "cold start: <why the start was dropped>".
-    """
-
-    basic: frozenset[str]
-    at_upper: frozenset[str]  # nonbasic columns resting at their upper bound
-    columns: frozenset[str]  # every column of the LP
-    origin: str = "cold start"
-
-
-@dataclass(frozen=True)
 class Solution:
     status: str
     objective: float
     values: dict[str, float]
     iterations: int
-    basis: Basis | None = None  # the optimal basis, when optimal
 
 
 @dataclass(frozen=True)
@@ -84,6 +67,37 @@ class PessimizationResult:
 # Bounded-variable simplex
 # ---------------------------------------------------------------------------
 
+def _resized(view: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
+    """`view`, a leading block of the buffer behind it, re-sliced to `rows`
+    (by `cols`).
+
+    When the buffer is too small the data moves to a new one with room to
+    spare, so that rows and columns appended one at a time reallocate
+    rarely.  Entries past `view`'s own shape are left unset.
+    """
+    buf = view if view.base is None else view.base
+    if rows > buf.shape[0] or cols is not None and cols > buf.shape[1]:
+        shape = (rows,) if cols is None else (rows, cols)
+        buf = np.empty([s + max(s // 4, 16) for s in shape], view.dtype)
+        buf[tuple(map(slice, view.shape))] = view
+    return buf[:rows] if cols is None else buf[:rows, :cols]
+
+
+def _pushed(view: np.ndarray, value) -> np.ndarray:
+    out = _resized(view, view.size + 1)
+    out[-1] = value
+    return out
+
+
+def _deleted(view: np.ndarray, k: int, axis: int = 0) -> np.ndarray:
+    """`view` without index `k` along `axis`; what follows moves down in place."""
+    if axis == 0:
+        view[k:-1] = view[k + 1:]
+        return view[:-1]
+    view[:, k:-1] = view[:, k + 1:]
+    return view[:, :-1]
+
+
 class _Tableau:
     """Dense bounded-variable simplex tableau, updated in place.
 
@@ -94,9 +108,11 @@ class _Tableau:
     and minus the objective in its last row.  A step either flips the
     entering column to its other bound, which moves the basic values only,
     or pivots: a Gauss-Jordan rank-1 update of T.  Each phase starts with
-    `rebuild` under its own cost; a warm start rebuilds once at a given basis
-    under the phase-2 cost and takes `dual_iterate` steps before `iterate`.
-    Every REFACTOR_EVERY steps, and before
+    `rebuild` under its own cost.  A cutting loop keeps the tableau of an
+    optimal master: `add_row` appends a cut with its slack basic (one
+    vector-matrix product, counted as one in-place step), `drop_row` deletes
+    a cut whose slack is basic, and `dual_iterate` then `iterate` steps
+    re-optimize.  Every REFACTOR_EVERY steps, and before
     every terminal decision (optimal, unbounded, phase-1 infeasibility,
     degenerate cycle), T is refactorized from the untouched A_ext/b0 so
     that the drift of the updates never decides an outcome.  A
@@ -104,6 +120,9 @@ class _Tableau:
     rolls back to the last factorized basis and refactorizes on every pivot
     for the rest of the solve: on ill-conditioned masters (near-parallel
     cuts) an updated tableau can pick a pivot that exact arithmetic rejects.
+    The tableau takes over the arrays it is given; those that grow become
+    leading blocks of buffers with room to spare (`_resized`), so they are
+    written in place rather than replaced.
     """
 
     def __init__(self, A_ext: np.ndarray, b0: np.ndarray, lo: np.ndarray, up: np.ndarray,
@@ -113,15 +132,21 @@ class _Tableau:
         self.lo = lo
         self.up = up
         self.basis = basis
-        self.xn = np.zeros(A_ext.shape[1])
-        self.m = A_ext.shape[0]
-        self.T = np.zeros((self.m + 1, A_ext.shape[1] + 1))
+        self.m, n = A_ext.shape
+        self.xn = np.zeros(n)
+        self.T = np.zeros((self.m + 1, n + 1))
+        self.cost = np.zeros(n)
+        self.sgn = np.zeros(n)
+        self.blo = np.zeros(self.m)
+        self.bup = np.zeros(self.m)
+        self.factored = basis.copy()
+        self.factored_xn = self.xn.copy()
         self.every = REFACTOR_EVERY
         self.updates = 0  # in-place steps since the last factorization
 
     def rebuild(self, cost: np.ndarray) -> bool:
         """Refactorize at the current basis; True when it had to roll back."""
-        self.cost = cost
+        self.cost[:] = cost
         rolled_back = False
         try:
             self._factor()
@@ -136,8 +161,8 @@ class _Tableau:
             self._factor()
             rolled_back = True
         self.updates = 0
-        self.factored = self.basis.copy()
-        self.factored_xn = self.xn.copy()
+        self.factored[:] = self.basis
+        self.factored_xn[:] = self.xn
         return rolled_back
 
     def _factor(self):
@@ -146,9 +171,9 @@ class _Tableau:
         # column: -1 where a nonbasic column can rise, +1 where it rests at
         # its upper bound, 0 for basic and fixed columns; free nonbasic
         # columns can move either way
-        self.blo = lo[basis]
-        self.bup = up[basis]
-        self.sgn = np.where(self.xn == up, 1.0, -1.0)
+        np.take(lo, basis, out=self.blo)
+        np.take(up, basis, out=self.bup)
+        self.sgn[:] = np.where(self.xn == up, 1.0, -1.0)
         self.sgn[lo == up] = 0.0
         self.sgn[basis] = 0.0
         self.free = np.flatnonzero((self.sgn != 0.0) & (lo == -INF) & (up == INF))
@@ -223,6 +248,74 @@ class _Tableau:
         self._snap()
         self.updates += 1
         return False
+
+    def add_row(self, a: np.ndarray, b: float, up: float):
+        """Append the row a x + s = b, `a` over the leading columns, with a
+        new slack s in [0, up] that is basic.
+
+        The tableau row is a - a_B B^-1 A with the basic value b - a x, so
+        the reduced costs stay as they are; it counts as one in-place step.
+        """
+        m, n = self.m, self.T.shape[1] - 1
+        row = np.zeros(n + 1)
+        row[:a.size] = a
+        row[-1] = b - a @ self.xn[:a.size]
+        new = row - row[self.basis] @ self.T[:m]
+        new[self.basis] = 0.0
+        self.A_ext = _resized(self.A_ext, m + 1, n + 1)
+        self.A_ext[:m, n] = 0.0
+        self.A_ext[m, :n] = row[:n]
+        self.A_ext[m, n] = 1.0
+        self.b0 = _pushed(self.b0, b)
+        self.basis = _pushed(self.basis, n)
+        self.factored = _pushed(self.factored, n)
+        self.blo = _pushed(self.blo, 0.0)
+        self.bup = _pushed(self.bup, up)
+        self.lo = _pushed(self.lo, 0.0)
+        self.up = _pushed(self.up, up)
+        self.cost = _pushed(self.cost, 0.0)
+        self.xn = _pushed(self.xn, 0.0)
+        self.sgn = _pushed(self.sgn, 0.0)
+        self.factored_xn = _pushed(self.factored_xn, 0.0)
+        # the basic values' column and the reduced-cost row move out by one
+        # to make room for the slack's column and the new row
+        T = self.T = _resized(self.T, m + 2, n + 2)
+        T[:, -1] = T[:, -2]
+        T[-1] = T[-2]
+        T[:, -2] = 0.0
+        self.m = m + 1
+        if self.updates + 1 >= self.every:
+            self.rebuild(self.cost)
+            return
+        T[m, :n] = new[:n]
+        T[m, n] = 1.0
+        T[m, -1] = new[-1]
+        self._snap()
+        self.updates += 1
+
+    def drop_row(self, i: int, col: int):
+        """Delete row i and its slack `col`, basic in a freshly factorized
+        tableau.  The slack's unit column leaves the other rows of B^-1 [A|b]
+        independent of row i, so they stay exact, and the reduced basis
+        counts as factorized."""
+        pos = int(np.flatnonzero(self.basis == col)[0])
+        self.T = _deleted(_deleted(self.T, pos), col, axis=1)
+        self.A_ext = _deleted(_deleted(self.A_ext, i), col, axis=1)
+        self.b0 = _deleted(self.b0, i)
+        self.basis = _deleted(self.basis, pos)
+        self.basis[self.basis > col] -= 1
+        self.blo = _deleted(self.blo, pos)
+        self.bup = _deleted(self.bup, pos)
+        self.lo = _deleted(self.lo, col)
+        self.up = _deleted(self.up, col)
+        self.cost = _deleted(self.cost, col)
+        self.xn = _deleted(self.xn, col)
+        self.sgn = _deleted(self.sgn, col)  # `free` holds structural columns only: they come first
+        self.m -= 1
+        self.factored = _resized(self.factored, self.m)
+        self.factored[:] = self.basis
+        self.factored_xn = _resized(self.factored_xn, self.xn.size)
+        self.factored_xn[:] = self.xn
 
     def refresh(self, visited: set[bytes]) -> bool:
         """Refactorize a tableau updated in place, so that a terminal
@@ -363,155 +456,174 @@ class _Tableau:
             used += 1
 
 
-def simplex_solve(model: DeterministicModel, max_pivots: int = MAX_PIVOTS,
-                  start: Basis | None = None) -> Solution:
-    """Dense bounded-variable simplex over a purely linear model.
+class _LP:
+    """A purely linear model over its columns, whose rows may change between solves.
 
-    Without `start`, a two-phase primal simplex from the slack basis.
-    `start` is the basis of an earlier solve (`Solution.basis`): the solve
-    factorizes its basic columns, with the slack of every row it did not
-    know, under the objective, takes dual simplex steps until the basic
-    values are within their bounds, and primal steps until optimal.  The
-    start is ignored, and the LP solved cold, when it does not give one
-    basic column per row (a row whose slack was nonbasic is gone), when its
-    basis is singular or not dual feasible, and when the dual steps repeat
-    a state or find no entering column; phase 1 then decides infeasibility.
-    `iterations` counts every step, those of a dropped start included, and
-    the optimal `basis.origin` says how the solve started.
+    Column j holds x_j - shift_j for each non-fixed variable: a finite lower
+    bound (or, without one, a finite upper bound) shifts to 0, so every
+    column starts at 0.  Fixed variables fold into the rhs.  The rows are
+    the model's, then the appended ones; each gets one slack, in [0, inf) on
+    a "<=" row and [0, 0] on an "=" row.  The tableau of an optimal solve is
+    kept: `add_row` and `drop_row` edit it, and the next `solve` starts from
+    its basis with dual simplex steps.  Dropping a row whose slack is
+    nonbasic discards it, and the next solve is cold.
     """
-    if model.soc_rows:
-        raise SolverError("simplex cannot handle norm rows; cut them first")
 
-    fixed = {v.id: v.lower for v in model.vars if v.is_fixed()}
-    cols = [v for v in model.vars if not v.is_fixed()]
-    col_of = {v.id: j for j, v in enumerate(cols)}
-    # column j holds x_j - shift_j: its lower bound becomes 0 (or stays
-    # -inf), an upper bound alone becomes 0, so every column starts at 0
-    shift = [v.lower if v.lower > -INF else v.upper if v.upper < INF else 0.0 for v in cols]
-    n = len(cols)
+    def __init__(self, model: DeterministicModel):
+        cols = [v for v in model.vars if not v.is_fixed()]
+        self.n = n = len(cols)
+        self.vars = cols + [v for v in model.vars if v.is_fixed()]
+        # each variable's place in `values`, and its value with every column at 0
+        self.index = {v.id: j for j, v in enumerate(self.vars)}
+        self.at_zero = np.array([v.lower if v.lower > -INF else v.upper if v.upper < INF else 0.0
+                                 for v in self.vars])
+        self.lo = np.array([0.0 if v.lower > -INF else -INF for v in cols])
+        self.up = np.array([v.upper for v in cols]) - self.at_zero[:n]
 
-    def dense(lhs: LinExpr) -> tuple[np.ndarray, float]:
-        """Coefficients over the columns, and the value of the shifts and fixed variables."""
-        a = np.zeros(n)
+        m = len(model.linear_rows)
+        self.A = np.zeros((m, n))
+        self.b = np.zeros(m)
+        for i, row in enumerate(model.linear_rows):
+            if row.sense not in (LE, EQ):
+                raise SolverError(f"row {row.id}: unsupported sense {row.sense!r}")
+            self.A[i], offset = self.dense(row.lhs)
+            self.b[i] = row.rhs - offset
+        self.slack_up = np.array([0.0 if row.sense == EQ else INF for row in model.linear_rows])
+        self.c, offset = self.dense(model.objective)
+        self.c_offset = offset + model.objective.constant
+        self.rows: list[tuple[np.ndarray, float, float]] = []  # appended (a, b, slack up)
+        self.slacks: list[int] = []  # the tableau column of each appended row's slack
+        self.tab: _Tableau | None = None
+        self.why: str | None = None  # why the next solve cannot start from `tab`
+
+    def dense(self, lhs: LinExpr) -> tuple[np.ndarray, float]:
+        """Coefficients over the columns, and the value of lhs with every column at 0."""
+        a = np.zeros(self.n)
         offset = 0.0
         for vid, coeff in lhs.terms:
-            j = col_of.get(vid)
-            if j is None:
-                offset += coeff * fixed[vid]
-            else:
+            j = self.index[vid]
+            if j < self.n:
                 a[j] = coeff
-                offset += coeff * shift[j]
+            offset += coeff * self.at_zero[j]
         return a, offset
 
-    m = len(model.linear_rows)
-    A = np.zeros((m, n))
-    b = np.zeros(m)
-    for i, row in enumerate(model.linear_rows):
-        if row.sense not in (LE, EQ):
-            raise SolverError(f"row {row.id}: unsupported sense {row.sense!r}")
-        A[i], offset = dense(row.lhs)
-        b[i] = row.rhs - offset
-    eq = np.array([row.sense == EQ for row in model.linear_rows], dtype=bool)
-    c, c_offset = dense(model.objective)
-    c_offset += model.objective.constant
+    def add_row(self, a: np.ndarray, b: float, up: float = INF):
+        """Append the row a x + s = b over the columns, its slack s in [0, up]."""
+        self.rows.append((a, b, up))
+        if self.tab is not None:
+            self.slacks.append(self.tab.xn.size)
+            self.tab.add_row(a, b, up)
 
-    # one slack per row, in [0, inf) on "<=" rows and [0, 0] on "=" rows
-    A_ext = np.hstack([A, np.eye(m)])
-    lo = np.concatenate([[0.0 if v.lower > -INF else -INF for v in cols], np.zeros(m)])
-    up = np.concatenate([[v.upper - s for v, s in zip(cols, shift)], np.where(eq, 0.0, INF)])
-    cost = np.concatenate([c, np.zeros(m)])
-    names = [v.id for v in cols] + [row.id for row in model.linear_rows]
-    pivots = 0
-    tab = None
-    origin = "cold start"
-    if start is not None:
-        tab, origin = _warm_tableau(A_ext, b, lo, up, cost, names, start)
-        if tab is not None:
-            why, pivots = tab.dual_iterate(max_pivots)
+    def drop_row(self, k: int):
+        """Drop appended row k: in place when its slack is basic."""
+        del self.rows[k]
+        if self.tab is None:
+            return
+        col = self.slacks.pop(k)
+        if col in self.tab.basis:
+            self.tab.drop_row(len(self.b) + k, col)
+            self.slacks = [j - (j > col) for j in self.slacks]
+        else:
+            self.tab, self.why = None, "an evicted cut was binding"
+
+    def solve(self, max_pivots: int = MAX_PIVOTS) -> tuple[str, int, str]:
+        """(status, steps, how the solve started).
+
+        From a kept tableau: dual simplex steps until the basic values are
+        within their bounds, then primal steps until optimal.  A dual phase
+        that repeats a state or finds no entering column is dropped for the
+        cold solve, whose phase 1 then decides infeasibility; its steps
+        still count.
+        """
+        pivots = 0
+        if self.tab is not None:
+            self.tab.every = REFACTOR_EVERY  # a rollback's every-step refactorization lasts one solve
+            why, pivots = self.tab.dual_iterate(max_pivots)
+            if why is None:
+                status, used = self.tab.iterate(max_pivots - pivots)
+                return self._kept(status), pivots + used, "warm start"
             if why == ITERATION_LIMIT:
-                return Solution(ITERATION_LIMIT, math.nan, {}, pivots)
-            if why is not None:
-                tab, origin = None, f"cold start: {why}"
+                return self._kept(why), pivots, "warm start"
+            self.why = why
+        origin = "cold start" if self.why is None else f"cold start: {self.why}"
+        self.why = None
+        status, used = self._cold(max_pivots - pivots)
+        return self._kept(status), pivots + used, origin
 
-    if tab is None:
-        # an artificial where the slack cannot absorb b, the residual at
-        # x_N = 0; it is named like its row's slack, since the two are never
-        # basic together
-        arts = np.flatnonzero(np.where(eq, b != 0.0, b < 0.0))
+    def _kept(self, status: str) -> str:
+        if status != OPTIMAL:
+            self.tab = None
+        return status
+
+    def _cold(self, max_pivots: int) -> tuple[str, int]:
+        """Two-phase primal simplex from the slack basis."""
+        A = np.vstack([self.A, *(a for a, _, _ in self.rows)])
+        b = np.concatenate([self.b, [rhs for _, rhs, _ in self.rows]])
+        slack_up = np.concatenate([self.slack_up, [up for _, _, up in self.rows]])
+        n, m = self.n, len(b)
+        # an artificial where the slack cannot absorb b, the residual at x_N = 0
+        arts = np.flatnonzero(np.where(slack_up == 0.0, b != 0.0, b < 0.0))
         n_art = arts.size
         art_cols = np.zeros((m, n_art))
         art_cols[arts, np.arange(n_art)] = np.sign(b[arts])
-        names += [names[n + i] for i in arts]
         basis = np.arange(n, n + m)
         basis[arts] = n + m + np.arange(n_art)
-        tab = _Tableau(np.hstack([A_ext, art_cols]), b, np.concatenate([lo, np.zeros(n_art)]),
-                       np.concatenate([up, np.full(n_art, INF)]), basis)
+        self.tab = tab = _Tableau(np.hstack([A, np.eye(m), art_cols]), b,
+                                  np.concatenate([self.lo, np.zeros(m + n_art)]),
+                                  np.concatenate([self.up, slack_up, np.full(n_art, INF)]), basis)
+        self.slacks = list(range(n + len(self.b), n + m))
+        pivots = 0
 
         # Phase 1: minimize the sum of artificials.
         if n_art:
             cost1 = np.zeros(n + m + n_art)
             cost1[n + m:] = 1.0
             tab.rebuild(cost1)
-            status, used = tab.iterate(max_pivots - pivots)
-            pivots += used
+            status, pivots = tab.iterate(max_pivots)
             if status == ITERATION_LIMIT:
-                return Solution(ITERATION_LIMIT, math.nan, {}, pivots)
+                return status, pivots
             if -tab.T[-1, -1] > FEAS_TOL:  # leftover artificial mass
-                return Solution(INFEASIBLE, math.nan, {}, pivots)
+                return INFEASIBLE, pivots
             # artificials are fixed at 0 from here on: one left basic at zero
             # level blocks its row and leaves at the first pivot that moves it
             tab.up[n + m:] = 0.0
 
         # Phase 2: original objective.
-        tab.rebuild(np.concatenate([cost, np.zeros(n_art)]))
+        tab.rebuild(np.concatenate([self.c, np.zeros(m + n_art)]))
+        status, used = tab.iterate(max_pivots - pivots)
+        return status, pivots + used
 
-    status, used = tab.iterate(max_pivots - pivots)
-    pivots += used
-    if status == ITERATION_LIMIT:
-        return Solution(ITERATION_LIMIT, math.nan, {}, pivots)
-    if status == UNBOUNDED:
-        return Solution(UNBOUNDED, -math.inf, {}, pivots)
+    def x(self) -> np.ndarray:
+        """The column values at the kept tableau's basis."""
+        tab = self.tab
+        x = tab.xn.copy()
+        x[tab.basis] = tab.T[:tab.m, -1]
+        return x[:self.n]
 
-    x = tab.xn.copy()
-    x[tab.basis] = tab.T[:m, -1]
-    values = dict(fixed)
-    values.update((v.id, s + xj) for v, s, xj in zip(cols, shift, x))
-    objective = float(c @ x[:n] + c_offset)
-    basis = Basis(frozenset(names[j] for j in tab.basis),
-                  frozenset(names[j] for j in np.flatnonzero(tab.xn)),
-                  frozenset(names), origin)
-    # snap float dust onto zero and return plain floats
-    return Solution(OPTIMAL, objective,
-                    {v: (0.0 if abs(xv) < 1e-12 else float(xv)) for v, xv in values.items()},
-                    pivots, basis)
+    def values(self) -> np.ndarray:
+        """Every variable's value, in `self.vars` order, float dust snapped onto 0."""
+        values = self.at_zero.copy()
+        values[:self.n] += self.x()
+        values[np.abs(values) < 1e-12] = 0.0
+        return values
+
+    def objective(self) -> float:
+        return float(self.c @ self.x() + self.c_offset)
+
+    def solution(self, status: str, iterations: int) -> Solution:
+        if status != OPTIMAL:
+            return Solution(status, -math.inf if status == UNBOUNDED else math.nan, {}, iterations)
+        return Solution(OPTIMAL, self.objective(),
+                        dict(zip(self.index, self.values().tolist())), iterations)
 
 
-def _warm_tableau(A_ext: np.ndarray, b: np.ndarray, lo: np.ndarray, up: np.ndarray,
-                  cost: np.ndarray, names: list[str], start: Basis) -> tuple[_Tableau | None, str]:
-    """The tableau at `start`'s basis under `cost`, or None and why it does not fit.
-
-    Names the LP does not have are ignored; the slack of every row that
-    `start` did not know is basic.
-    """
-    m = len(b)
-    n = len(names) - m
-    index = {name: j for j, name in enumerate(names)}
-    basic = {index[name] for name in start.basic if name in index}
-    basic.update(n + i for i, name in enumerate(names[n:]) if name not in start.columns)
-    if len(basic) != m:
-        return None, f"cold start: start basis has {len(basic)} basic columns for {m} rows"
-    tab = _Tableau(A_ext, b, lo, up, np.array(sorted(basic), dtype=int))
-    for name in start.at_upper:
-        j = index.get(name)
-        if j is not None and j not in basic and up[j] < INF:
-            tab.xn[j] = up[j]
-    try:
-        tab.rebuild(cost)
-    except SolverError:
-        return None, "cold start: start basis is singular"
-    if (tab.gains() > FEAS_TOL).any():
-        return None, "cold start: start basis is not dual feasible"
-    return tab, "warm start"
+def simplex_solve(model: DeterministicModel, max_pivots: int = MAX_PIVOTS) -> Solution:
+    """Dense bounded-variable two-phase primal simplex over a purely linear model."""
+    if model.soc_rows:
+        raise SolverError("simplex cannot handle norm rows; cut them first")
+    lp = _LP(model)
+    status, pivots, _ = lp.solve(max_pivots)
+    return lp.solution(status, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -613,45 +725,9 @@ def coordinate_extremes(uset: Polyhedral) -> tuple[np.ndarray, np.ndarray, list[
 # Cutting loop
 # ---------------------------------------------------------------------------
 
-def _cut_key(lhs: LinExpr, rhs: float) -> tuple:
-    return (tuple((v, round(c, 12)) for v, c in lhs.terms), round(rhs, 12))
-
-
-class _CutPool:
-    """Master rows: base rows plus a bounded FIFO of cuts per generator.
-
-    Supporting cuts of one norm / uncertain row converge onto the same face
-    and become nearly parallel; letting them pile up makes the master LP
-    arbitrarily ill-conditioned.  Only the most recent CUT_POOL cuts per
-    generator stay live (an evicted cut is re-addable if it re-violates).
-    """
-
-    def __init__(self, base_rows):
-        self.base = list(base_rows)
-        self.base_keys = {_cut_key(r.lhs, r.rhs) for r in self.base}
-        self.pools: dict[int, list[Constraint]] = {}
-        self.keys: dict[int, set] = {}
-
-    def rows(self) -> tuple[Constraint, ...]:
-        out = list(self.base)
-        for pool in self.pools.values():
-            out.extend(pool)
-        return tuple(out)
-
-    def add(self, gen_id: int, row: Constraint) -> bool:
-        key = _cut_key(row.lhs, row.rhs)
-        if key in self.base_keys:
-            return False
-        pool = self.pools.setdefault(gen_id, [])
-        keys = self.keys.setdefault(gen_id, set())
-        if key in keys:
-            return False
-        pool.append(row)
-        keys.add(key)
-        if len(pool) > CUT_POOL:
-            old = pool.pop(0)
-            keys.discard(_cut_key(old.lhs, old.rhs))
-        return True
+def _cut_key(a: np.ndarray, b: float) -> bytes:
+    """A row a x <= b to 12 decimals, -0.0 read as 0.0."""
+    return (np.append(a, b).round(12) + 0.0).tobytes()
 
 
 def _norm_generator(row: NormRow) -> tuple:
@@ -668,34 +744,56 @@ def _cutting_loop(kind: str, master: DeterministicModel, gens: list[tuple],
     """Enforce each generator, the semi-infinite row (base, on, P, c, Z, rhs):
     base(x) + z^T (P^T x_on + c) <= rhs for all z in Z, by cuts on `master`.
 
-    Each round pessimizes every generator at the master optimum and adds the
-    violated realizations as cuts; `iterations` counts rounds.  Each master
-    after the first starts from the previous one's optimal basis, in which
-    the new cuts' slacks are basic.  A master LP that ends non-optimal is
-    returned as it is.
+    Each round pessimizes every generator at the master optimum and appends
+    the violated realizations to the master's kept tableau as cuts;
+    `iterations` counts rounds.  Supporting cuts of one row converge onto
+    the same face and become nearly parallel, and letting them pile up makes
+    the master arbitrarily ill-conditioned, so only the most recent CUT_POOL
+    cuts per generator stay (an evicted cut is re-addable if it re-violates).
+    A master LP that ends non-optimal is returned as it is.
     """
-    pool = _CutPool(master.linear_rows)
-    basis = None
+    lp = _LP(master)
+    seen = {_cut_key(a, b) for a, b in zip(lp.A, lp.b)}
+    live: list[tuple[int, bytes]] = []  # (generator, key) of each appended cut, in row order
+    rows = []  # each generator's base row over every variable, and the places of `on`
+    for base, on, P, c, uset, rhs in gens:
+        g = np.zeros(len(lp.vars))
+        for v, coeff in base.terms:
+            g[lp.index[v]] = coeff
+        rows.append((g, np.array([lp.index[v] for v in on], dtype=int), P, c, uset, rhs))
     for round_no in range(1, max_rounds + 1):
-        sol = simplex_solve(replace(master, linear_rows=pool.rows()), start=basis)
-        if sol.status != OPTIMAL:
-            return sol
-        basis = sol.basis
-        added = 0
-        for k, (base, on, P, c, uset, rhs) in enumerate(gens):
-            worst = pessimize(uset, P.T @ np.array([sol.values[v] for v in on]) + c)
-            if base.evaluate(sol.values) + worst.value - rhs <= feas_tol:
+        status, pivots, origin = lp.solve()
+        if status != OPTIMAL:
+            return lp.solution(status, pivots)
+        x = lp.values()
+        cuts = []
+        for k, (g, on, P, c, uset, rhs) in enumerate(rows):
+            worst = pessimize(uset, P.T @ x[on] + c)
+            if g @ x + worst.value - rhs <= feas_tol:
                 continue
-            shift = P @ worst.zstar  # coefficient perturbation at z*
-            cut = base + LinExpr.of({v: float(shift[i]) for i, v in enumerate(on)})
-            if pool.add(k, Constraint(f"_cut{k}_{round_no}", cut, LE, rhs - float(c @ worst.zstar))):
-                added += 1
-        log.debug("%s round %d: master objective %r, %d cuts added, %s, %d pivots",
-                  kind, round_no, sol.objective, added, basis.origin, sol.iterations)
-        if not added:
-            return replace(sol, iterations=round_no)
+            cut = g.copy()
+            cut[on] += P @ worst.zstar  # the coefficients perturbed at z*
+            b = rhs - float(c @ worst.zstar) - float(cut @ lp.at_zero)
+            key = _cut_key(cut[:lp.n], b)
+            if key not in seen and (k, key) not in live:
+                cuts.append((k, key, cut[:lp.n], b))
+        objective = lp.objective()
+        evicted = 0
+        for k, _, _, _ in cuts:
+            mine = [i for i, (gen, _) in enumerate(live) if gen == k]
+            if len(mine) >= CUT_POOL:
+                lp.drop_row(mine[0])
+                del live[mine[0]]
+                evicted += 1
+        for k, key, a, b in cuts:
+            lp.add_row(a, b)
+            live.append((k, key))
+        log.debug("%s round %d: master objective %r, %d cuts added, %d evicted, %s, %d pivots",
+                  kind, round_no, objective, len(cuts), evicted, origin, pivots)
+        if not cuts:
+            return lp.solution(OPTIMAL, round_no)
     log.warning("%s cutting loop hit the round limit (%d)", kind, max_rounds)
-    return Solution(ITERATION_LIMIT, math.nan, {}, max_rounds)
+    return lp.solution(ITERATION_LIMIT, max_rounds)
 
 
 def solve_deterministic(model: DeterministicModel, feas_tol: float = FEAS_TOL,

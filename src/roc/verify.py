@@ -22,7 +22,7 @@ from .canonicalize import CanonicalModel
 from .errors import UnsupportedSetError
 from .model import (INF, Intersection, LdrAssignment, MinkowskiSum, NormBall,
                     Polyhedral, UncertaintySet)
-from .solver import FEAS_TOL, Solution, coordinate_extremes
+from .solver import FEAS_TOL, Solution
 
 log = logging.getLogger("roc")
 
@@ -184,7 +184,7 @@ def stress_points(uset: UncertaintySet) -> np.ndarray:
             return np.vstack([axes, corners])
         return axes
     if isinstance(uset, Polyhedral):
-        _, _, points = coordinate_extremes(uset)
+        _, _, points = uset.extremes
         return np.vstack(points) if points else np.zeros((0, L))
     if isinstance(uset, Intersection):
         pool = np.vstack([stress_points(m) for m in uset.members])

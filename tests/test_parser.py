@@ -192,6 +192,10 @@ class TestParseUncertaintySpec:
         m = roc.parse_model("max: x1 + x2;" + rows)
         assert len(m.constraints) == 4
         assert len(calls) == 4  # 2L coordinate LPs for the one distinct set
+        sets = {id(row.uncertainty.uset) for row in m.constraints}
+        assert len(sets) == 1  # one instance, whose stress points reuse the extremes
+        roc.stress_points(m.constraints[0].uncertainty.uset)
+        assert len(calls) == 4
         calls.clear()
         roc.parse_model("max: x1 + x2;" + rows)
         assert len(calls) == 4  # separate parses share nothing

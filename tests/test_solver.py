@@ -1,5 +1,6 @@
 """Simplex, pessimization, cutting-plane loop: values, statuses, determinism."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -308,10 +309,15 @@ class TestWarmStart:
         objective = LinExpr.of(dict(zip(names, map(float, rng.integers(-3, 4, size=n)))))
         return names, variables, objective, rows
 
+    @staticmethod
+    def append(lp, row):
+        a, offset = lp.dense(row.lhs)
+        lp.add_row(a, row.rhs - offset, 0.0 if row.sense == "=" else INF)
+
     @pytest.mark.parametrize("every", (1, 8, None))
     def test_cuts_against_highs_and_cold(self, every, monkeypatch):
-        # re-solve each optimal LP from its basis after appending 1-3 rows
-        # that cut off its optimum, or a pair of rows that empties it
+        # append 1-3 rows that cut off an optimal LP's optimum, or a pair of
+        # rows that empties it, to its kept tableau and solve again
         if every is not None:
             monkeypatch.setattr(roc.solver, "REFACTOR_EVERY", every)
         rng = np.random.default_rng(2025)
@@ -334,9 +340,13 @@ class TestWarmStart:
             empty = [cut, roc.Constraint("cut_back", LinExpr.of({v: -c for v, c in cut.lhs.terms}),
                                          "<=", -cut.rhs - 0.5)]
             for extra in (cuts, empty):
-                m = det_model(variables, objective, rows + extra)
-                warm = roc.simplex_solve(m, start=first.basis)
-                cold = roc.simplex_solve(m)
+                lp = roc.solver._LP(det_model(variables, objective, rows))
+                assert lp.solve()[:1] == ("optimal",)
+                for row in extra:
+                    self.append(lp, row)
+                status, steps, origin = lp.solve()
+                warm = lp.solution(status, steps)
+                cold = roc.simplex_solve(det_model(variables, objective, rows + extra))
                 status, expected = self.highs_status(variables, objective, rows + extra)
                 assert warm.status == cold.status == status, f"trial {trial}"
                 seen.add(status)
@@ -344,7 +354,7 @@ class TestWarmStart:
                     assert abs(warm.objective - expected) <= 1e-9 * max(1.0, abs(expected)), \
                         f"trial {trial}"
                     assert rel_close(warm.objective, cold.objective, 1e-9), f"trial {trial}"
-                    origins.append(warm.basis.origin)
+                    origins.append(origin)
         assert seen == {"optimal", "infeasible"}
         assert origins.count("warm start") == len(origins) > 10
 
@@ -354,45 +364,56 @@ class TestWarmStart:
         xs = [roc.VariableDecl("x", lower=0.0, upper=4.0), roc.VariableDecl("y", lower=0.0)]
         rows = [roc.Constraint("r", LinExpr.of({"x": 1.0, "y": 1.0}), "<=", 5.0)]
         objective = LinExpr.of({"x": -2.0, "y": -1.0})
-        first = roc.simplex_solve(det_model(xs, objective, rows))
-        assert first.status == "optimal"
-        rows += [roc.Constraint("c1", LinExpr.of({"x": 1.0}), "<=", 1.0),
-                 roc.Constraint("c2", LinExpr.of({"x": -1.0, "y": -1.0}), "<=", -6.0)]
-        warm = roc.simplex_solve(det_model(xs, objective, rows), start=first.basis)
-        assert warm.status == self.highs_status(xs, objective, rows)[0] == "infeasible"
-        assert warm.iterations >= 1  # the dual steps taken are counted
+        lp = roc.solver._LP(det_model(xs, objective, rows))
+        assert lp.solve()[0] == "optimal"
+        cuts = [roc.Constraint("c1", LinExpr.of({"x": 1.0}), "<=", 1.0),
+                roc.Constraint("c2", LinExpr.of({"x": -1.0, "y": -1.0}), "<=", -6.0)]
+        for row in cuts:
+            self.append(lp, row)
+        status, steps, origin = lp.solve()
+        assert status == self.highs_status(xs, objective, rows + cuts)[0] == "infeasible"
+        assert origin == "cold start: the dual simplex found no entering column"
+        assert steps >= 1  # the dual steps taken are counted
 
-    def test_start_without_its_binding_row_solves_cold(self):
+    def test_evicting_a_binding_row_restarts_cold(self):
+        # a dropped row whose slack is nonbasic takes the tableau with it;
+        # the next solve is cold and gives the cold answer
         xs = [roc.VariableDecl("x", lower=0.0, upper=3.0),
               roc.VariableDecl("y", lower=0.0, upper=3.0)]
         objective = LinExpr.of({"x": -1.0, "y": -1.0})
         rows = [roc.Constraint("r1", LinExpr.of({"x": 1.0, "y": 2.0}), "<=", 4.0),
                 roc.Constraint("r2", LinExpr.of({"x": 2.0, "y": 1.0}), "<=", 4.0)]
-        first = roc.simplex_solve(det_model(xs, objective, rows))
-        assert first.basis.basic == {"x", "y"}  # both rows bind
-        m = det_model(xs, objective, rows[1:])
-        sol = roc.simplex_solve(m, start=first.basis)
-        cold = roc.simplex_solve(m)
-        assert sol.basis.origin == "cold start: start basis has 2 basic columns for 1 rows"
+        lp = roc.solver._LP(det_model(xs, objective, []))
+        for row in rows:
+            self.append(lp, row)
+        assert lp.solve()[0] == "optimal"
+        assert set(lp.tab.basis) == {0, 1}  # both rows bind
+        lp.drop_row(0)
+        status, steps, origin = lp.solve()
+        sol = lp.solution(status, steps)
+        cold = roc.simplex_solve(det_model(xs, objective, rows[1:]))
+        assert origin == "cold start: an evicted cut was binding"
         assert (sol.status, sol.objective, sol.values) == (cold.status, cold.objective, cold.values)
         assert sol.objective == -3.5
 
-    def test_unknown_names_are_ignored(self):
+    def test_row_that_holds_takes_no_steps(self):
         xs = [roc.VariableDecl("x", lower=0.0, upper=3.0), roc.VariableDecl("y", lower=0.0)]
         objective = LinExpr.of({"x": -1.0, "y": -1.0})
         rows = [roc.Constraint("r1", LinExpr.of({"x": 1.0, "y": 2.0}), "<=", 4.0)]
-        first = roc.simplex_solve(det_model(xs, objective, rows))
-        assert first.basis.at_upper == {"x"}
-        start = roc.solver.Basis(first.basis.basic | {"gone"}, first.basis.at_upper | {"r9"},
-                                 first.basis.columns | {"gone", "r9"})
-        again = roc.simplex_solve(det_model(xs, objective, rows), start=start)
-        assert again.basis.origin == "warm start"
-        assert again.iterations == 0
-        assert again.values == first.values
-        rows.append(roc.Constraint("cut", LinExpr.of({"x": 1.0, "y": 1.0}), "<=", 3.0))
-        warm = roc.simplex_solve(det_model(xs, objective, rows), start=start)
-        cold = roc.simplex_solve(det_model(xs, objective, rows))
-        assert warm.basis.origin == "warm start"
+        lp = roc.solver._LP(det_model(xs, objective, rows))
+        first = lp.solution(*lp.solve()[:2])
+        assert lp.tab.xn[0] == 3.0  # x rests at its upper bound
+        loose = roc.Constraint("loose", LinExpr.of({"x": 1.0, "y": 1.0}), "<=", 10.0)
+        self.append(lp, loose)
+        status, steps, origin = lp.solve()
+        assert (status, steps, origin) == ("optimal", 0, "warm start")
+        assert lp.solution(status, steps).values == first.values
+        cut = roc.Constraint("cut", LinExpr.of({"x": 1.0, "y": 1.0}), "<=", 3.0)
+        self.append(lp, cut)
+        status, steps, origin = lp.solve()
+        warm = lp.solution(status, steps)
+        cold = roc.simplex_solve(det_model(xs, objective, rows + [loose, cut]))
+        assert origin == "warm start"
         assert warm.status == cold.status == "optimal"
         assert rel_close(warm.objective, cold.objective, 1e-12)
         assert warm.objective == -3.0
@@ -502,7 +523,7 @@ class TestCuttingPlane:
     def test_intersection_rejected_before_any_lp(self, monkeypatch):
         post = roc.apply_ldr(roc.canonicalize(roc.parse_model(fixture_text("intersect.roc"))))
         solves = []
-        monkeypatch.setattr(roc.solver, "simplex_solve", lambda *a: solves.append(a))
+        monkeypatch.setattr(roc.solver._LP, "solve", lambda *a: solves.append(a))
         with pytest.raises(roc.UnsupportedSetError, match="no pessimization oracle"):
             roc.cutting_plane_solve(post)
         assert not solves
@@ -516,6 +537,8 @@ class TestCuttingPlane:
             assert sol.status == "optimal"
             assert len(caplog.records) == sol.iterations > 1
             assert all(r.levelname == "DEBUG" for r in caplog.records)
+            # no pool fills up in these few rounds
+            assert all(", 0 evicted, " in r.getMessage() for r in caplog.records)
 
     def test_debug_line_shows_start(self, caplog):
         # the first master solves cold, every later one from the previous basis
@@ -528,6 +551,63 @@ class TestCuttingPlane:
             assert len(lines) == sol.iterations > 1
             assert lines[0].endswith("pivots") and ", cold start, " in lines[0]
             assert all(", warm start, " in line for line in lines[1:]), lines
+
+    def test_small_cut_pools_evict(self, monkeypatch, caplog):
+        # a full pool evicts its oldest cut: deleted from the kept tableau when
+        # its slack is basic, by a cold re-solve when it binds.  Pools of fewer
+        # than 8 cuts make both loops cycle to the round limit on dense_ball2.roc
+        default = roc.solver.CUT_POOL
+        evictions, drops = [], []
+        evict, drop = roc.solver._LP.drop_row, roc.solver._Tableau.drop_row
+        monkeypatch.setattr(roc.solver._LP, "drop_row", lambda lp, k: evictions.append(k) or evict(lp, k))
+        monkeypatch.setattr(roc.solver._Tableau, "drop_row",
+                            lambda tab, *a: drops.append(a) or drop(tab, *a))
+        cases = [(full_pipeline(fixture_text("dense_ball2.roc"))[2], (8, 12))]
+        cases += [(random_instance(seed), pools)
+                  for seed, pools in ((1, (1,)), (13, (2,)), (15, (1, 2)), (18, (2,)))]
+        cold = 0
+        for model, pools in cases:
+            monkeypatch.setattr(roc.solver, "CUT_POOL", default)
+            expected = solve_canonical_both(model)[0]
+            for pool in pools:
+                monkeypatch.setattr(roc.solver, "CUT_POOL", pool)
+                evictions.clear()
+                caplog.clear()
+                with caplog.at_level("DEBUG", logger="roc"):
+                    ref, cut = solve_canonical_both(model)
+                assert ref.status == cut.status == expected.status == "optimal", pool
+                assert rel_close(ref.objective, cut.objective, 1e-6), pool
+                assert rel_close(ref.objective, expected.objective, 1e-6), pool
+                lines = [r.getMessage() for r in caplog.records]
+                assert sum(int(re.search(r", (\d+) evicted, ", line)[1]) for line in lines) \
+                    == len(evictions) > 0
+                cold += sum(", cold start: an evicted cut was binding, " in line for line in lines)
+        assert drops and cold
+
+    def test_warm_round_factorizes_once(self, monkeypatch):
+        # a warm round appends its cuts to the kept tableau in place; the one
+        # factorization is the refresh before the optimal verdict
+        factors = []
+        factor = roc.solver._Tableau._factor
+        monkeypatch.setattr(roc.solver._Tableau, "_factor", lambda tab: factors.append(1) or factor(tab))
+        solve = roc.solver._LP.solve
+        rounds = []
+
+        def counted(lp, *args):
+            before = len(factors)
+            out = solve(lp, *args)
+            rounds.append((out[2], len(factors) - before))
+            return out
+
+        monkeypatch.setattr(roc.solver._LP, "solve", counted)
+        for name in ("ex1.roc", "dense_ball2.roc"):
+            _, _, post, _, det = full_pipeline(fixture_text(name))
+            for solve_model, model in ((roc.solve_deterministic, det), (roc.cutting_plane_solve, post)):
+                rounds.clear()
+                assert solve_model(model).status == "optimal"
+                warm = [n for origin, n in rounds if origin == "warm start"]
+                assert len(warm) == len(rounds) - 1 > 0, name
+                assert max(warm) <= 1, name
 
     def test_near_parallel_cut_conditioning(self):
         # regression: accumulating near-parallel cone cuts once drifted the

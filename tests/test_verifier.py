@@ -107,6 +107,17 @@ class TestSampling:
         for l, extreme in ((0, 1.0), (0, -2.0), (1, 1.0), (1, -2.0)):
             assert any(abs(p[l] - extreme) < 1e-9 for p in pts)
 
+    def test_poly_stress_points_solved_once(self, monkeypatch):
+        calls = []
+        solve = roc.solver.simplex_solve
+        monkeypatch.setattr(roc.solver, "simplex_solve",
+                            lambda *a, **k: calls.append(1) or solve(*a, **k))
+        box = Polyhedral(np.vstack([np.eye(2), -np.eye(2)]), np.array([1.0, 1.0, 2.0, 2.0]))
+        first = stress_points(box)
+        assert len(calls) == 4  # 2L coordinate LPs
+        assert np.array_equal(stress_points(box), first)
+        assert len(calls) == 4  # kept on the set
+
     def test_intersection_rejection(self):
         uset = roc.Intersection((NormBall(2.0, 1.0, 2), NormBall(INF, 0.5, 2)))
         Z = sample_set(uset, n=200, seed=6)
