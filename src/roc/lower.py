@@ -81,7 +81,10 @@ def lower_norms(model: RcModel) -> DeterministicModel:
     counter = 0
 
     for row in model.rows:
-        lhs = row.lhs
+        # one dict per row, sorted once; each variable's terms add in the
+        # order a term-by-term sum would add them, so every sum is the same
+        coeffs = row.lhs.coeffs()
+        constant = row.lhs.constant
         sign_rows: list[Constraint] = []
         for k, term in enumerate(row.norm_terms, start=1):
             if term.weight == 0.0:
@@ -91,24 +94,27 @@ def lower_norms(model: RcModel) -> DeterministicModel:
                 for i, w in enumerate(term.arg, start=1):
                     sign = _sign(w, bounds)
                     if sign:
-                        lhs = lhs + w.scaled(sign * term.weight)
+                        scale = sign * term.weight
+                        for v, c in w.terms:
+                            coeffs[v] = coeffs.get(v, 0.0) + scale * c
+                        constant += scale * w.constant
                         continue
                     t_id = f"_t{counter}_{i}"
                     variables.append(VariableDecl(t_id, lower=0.0))
-                    lhs = lhs + LinExpr.of({t_id: term.weight})
+                    coeffs[t_id] = term.weight
                     sign_rows.extend(_abs_rows(row.id, k, t_id, i, w, 0))
             elif term.q == INF:
                 t_id = f"_t{counter}"
                 variables.append(VariableDecl(t_id, lower=0.0))
-                lhs = lhs + LinExpr.of({t_id: term.weight})
+                coeffs[t_id] = term.weight
                 for i, w in enumerate(term.arg, start=1):
                     sign_rows.extend(_abs_rows(row.id, k, t_id, i, w, _sign(w, bounds)))
             else:
                 t_id = f"_t{counter}"
                 variables.append(VariableDecl(t_id, lower=0.0))
-                lhs = lhs + LinExpr.of({t_id: term.weight})
+                coeffs[t_id] = term.weight
                 soc_rows.append(NormRow(term.q, t_id, term.arg))
-        lin_rows.append(Constraint(row.id, lhs, row.sense, row.rhs))
+        lin_rows.append(Constraint(row.id, LinExpr.of(coeffs, constant), row.sense, row.rhs))
         lin_rows.extend(sign_rows)
 
     return DeterministicModel(

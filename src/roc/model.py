@@ -317,7 +317,10 @@ class UncertainBlock:
 
     def arg_exprs(self) -> tuple[LinExpr, ...]:
         """P^T x as one linear expression per uncertainty coordinate."""
-        return tuple(LinExpr.of(dict(zip(self.on, column))) for column in self.P.T.tolist())
+        order = sorted(range(len(self.on)), key=self.on.__getitem__)  # once per block
+        names = [self.on[i] for i in order]
+        return tuple(LinExpr(tuple((v, c) for v, c in zip(names, column) if c != 0.0))
+                     for column in self.P[order].T.tolist())
 
     def __eq__(self, other):
         return (isinstance(other, UncertainBlock)

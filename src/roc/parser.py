@@ -4,6 +4,11 @@ Statements are `;`-terminated: variable declarations, one objective, and
 named constraints with optional uncertainty annotations.  See
 docs/grammar.md for the full EBNF.  Parsing is fail-fast: the first
 offending token raises a ParseError carrying its source span.
+
+The lexer is one compiled pattern.  A `[`...`]` list of signed numbers
+lexes as one `numbers` token, which only `vector()` reads; anywhere else it
+is first split back into the tokens its elements lex as, so diagnostics
+name the same token and span as element-by-element lexing would.
 """
 from __future__ import annotations
 
@@ -45,16 +50,20 @@ class ParseError(RocError):
 
 
 class Token(NamedTuple):
-    kind: str  # "ident", "number", "punct", "eof"
+    kind: str  # "ident", "number", "numbers", "punct", "eof"
     text: str
     offset: int  # into the source; the span is computed only for errors
 
 
 # One alternative per token kind, tried in order; `bad` catches a number run
-# with two dots (`1.2.3`) or any other single character.
-_TOKEN = re.compile(r"""
+# with two dots (`1.2.3`) or any other single character.  `numbers` is a
+# whole list `[n, ...]` of `number`s, each with a sign attached; a list that
+# holds a comment, `inf` or a detached sign lexes element by element.
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?![\d.])(?:[eE][+-]?\d+)?"
+_TOKEN = re.compile(rf"""
     (?P<skip>[ \t\r\n]+|\#[^\n]*)
-  | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?![\d.])(?:[eE][+-]?\d+)?)
+  | (?P<numbers>\[[ \t\r\n]*[+-]?{_NUMBER}(?:[ \t\r\n]*,[ \t\r\n]*[+-]?{_NUMBER})*[ \t\r\n]*\])
+  | (?P<number>{_NUMBER})
   | (?P<ident>[^\W\d_]\w*)
   | (?P<punct><=|>=|[;:,=()\[\]+\-*])
   | (?P<bad>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?|.)
@@ -103,13 +112,25 @@ class _Parser:
     # ------------------------------------------------------------------ util
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        tok = self.tokens[self.pos]
+        if tok.kind == "numbers":
+            tok = self.split_numbers()
+        return tok
 
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         if tok.kind != "eof":
             self.pos += 1
         return tok
+
+    def split_numbers(self) -> Token:
+        """Replace the `numbers` token at pos by its `[`, elements and `]`."""
+        tok = self.tokens[self.pos]
+        inner = [Token(m.lastgroup, m.group(), m.start())
+                 for m in _TOKEN.finditer(self.source, tok.offset + 1, tok.offset + len(tok.text))
+                 if m.lastgroup != "skip"]
+        self.tokens[self.pos:self.pos + 1] = [Token("punct", "[", tok.offset), *inner]
+        return self.tokens[self.pos]
 
     def fail(self, tok: Token, message: str, kind: str = SYNTAX):
         raise ParseError(_span(self.source, tok.offset, max(len(tok.text), 1)), kind, message)
@@ -175,6 +196,10 @@ class _Parser:
             sign = -1.0 if self.next().text == "-" else 1.0
 
     def vector(self) -> list[float]:
+        tok = self.tokens[self.pos]
+        if tok.kind == "numbers":  # float() reads the attached sign and the spaces
+            self.pos += 1
+            return [float(text) for text in tok.text[1:-1].split(",")]
         self.expect("[")
         out = [self.number()]
         while self.accept(","):

@@ -2,6 +2,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from roc.cli import main
 
@@ -147,6 +148,20 @@ class TestExitCodes:
         assert code == 3
         body = json.loads(out)
         assert all(s["status"] == "infeasible" for s in body["solutions"].values())
+
+    @pytest.mark.xfail(strict=True, reason="a cutting loop stops at an unbounded first master")
+    @pytest.mark.parametrize("p", ["2", "inf"])
+    def test_zero_nominal_row_bounded_by_its_uncertainty(self, p, capsys, tmp_path):
+        # the nominal row 0*x <= 1 leaves x free; the robust row caps it at 1
+        path = tmp_path / "m.roc"
+        path.write_text("var x >= 0; max: x;\n"
+                        f"c1: 0*x <= 1 uncertain(on=[x], P=[[1]], Z=ball(p={p}, r=1, dim=1));\n")
+        code, out = run_cli(capsys, "solve", "--method", "both", str(path))
+        solutions = json.loads(out)["solutions"]
+        assert code == 0
+        for solution in solutions.values():
+            assert solution["status"] == "optimal"
+            assert abs(-solution["objective"] - 1.0) <= 1e-9  # reported as a minimization
 
     def test_missing_file_exit_1(self, capsys):
         assert main(["check", str(FIXTURES / "nope.roc")]) == 1

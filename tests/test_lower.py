@@ -171,6 +171,88 @@ class TestSignRule:
         assert linear > 0
 
 
+def sequential_main_rows(model: roc.RcModel) -> list[roc.Constraint]:
+    """Each main row as a chain of LinExpr sums, one per coordinate and aux
+    variable: the reference for the row that lower_norms builds once."""
+    bounds = {v.id: (v.lower, v.upper) for v in model.vars}
+    counter = 0
+    rows = []
+    for row in model.rows:
+        lhs = row.lhs
+        for term in row.norm_terms:
+            if term.weight == 0.0:
+                continue
+            counter += 1
+            if term.q != 1.0:
+                lhs = lhs + LinExpr.of({f"_t{counter}": term.weight})
+                continue
+            for i, w in enumerate(term.arg, start=1):
+                sign = roc.lower._sign(w, bounds)
+                if sign:
+                    lhs = lhs + w.scaled(sign * term.weight)
+                else:
+                    lhs = lhs + LinExpr.of({f"_t{counter}_{i}": term.weight})
+        rows.append(roc.Constraint(row.id, lhs, row.sense, row.rhs))
+    return rows
+
+
+def wide_norm_model(seed: int) -> roc.RcModel:
+    """Rows of 1- and inf-norm terms over 50 to 120 coordinates; each
+    coordinate is a few signed variables plus, at times, a constant, so
+    some have a known sign on the variable box and some do not."""
+    rng = np.random.default_rng(seed)
+    boxes = [POS, NEG, FREE, (2.0, 5.0), (-3.0, -1.0)]
+    names = [f"x{i}" for i in range(40)]
+    box = {v: boxes[int(k)] for v, k in zip(names, rng.integers(0, len(boxes), len(names)))}
+
+    def coordinate():
+        picked = rng.choice(names, int(rng.integers(1, 5)), replace=False)
+        sign = rng.choice([-1.0, 1.0])
+        coeffs = {}
+        for v in picked:  # mostly one-signed on the box, sometimes not
+            s = sign * (-1.0 if box[v] in (NEG, (-3.0, -1.0)) else 1.0)
+            coeffs[str(v)] = float(s * rng.uniform(0.1, 3.0) * (1 if rng.uniform() < 0.8 else -1))
+        constant = float(sign * rng.uniform(0, 2)) if rng.uniform() < 0.4 else 0.0
+        return LinExpr.of(coeffs, constant)
+
+    rows = []
+    for r in range(3):
+        terms = tuple(roc.NormTerm(float(rng.uniform(0.1, 2.0)), q,
+                                   tuple(coordinate() for _ in range(int(rng.integers(50, 121)))))
+                      for q in rng.choice([1.0, INF], int(rng.integers(1, 3))))
+        lhs = LinExpr.of(dict(zip(names[:10], rng.uniform(-2, 2, 10))))
+        rows.append(roc.Constraint(f"r{r}", lhs, "<=", float(rng.uniform(1, 5)), norm_terms=terms))
+    return roc.RcModel(vars=tuple(roc.VariableDecl(v, lower=lo, upper=hi) for v, (lo, hi) in box.items()),
+                       objective=LinExpr.of({}), rows=tuple(rows))
+
+
+class TestRowBuiltOnce:
+    def test_rows_equal_the_sequential_sums(self):
+        signs = set()
+        for seed in range(12):
+            model = wide_norm_model(seed)
+            bounds = {v.id: (v.lower, v.upper) for v in model.vars}
+            signs |= {roc.lower._sign(w, bounds) for row in model.rows
+                      for term in row.norm_terms for w in term.arg}
+            det = roc.lower_norms(model)
+            ids = {row.id for row in model.rows}
+            built = [(r.id, r.lhs.terms, r.rhs) for r in det.linear_rows if r.id in ids]
+            assert built == [(r.id, r.lhs.terms, r.rhs) for r in sequential_main_rows(model)], seed
+        assert signs == {-1, 0, 1}
+
+    def test_known_sign_row_adds_no_expressions(self, monkeypatch):
+        # a q = 1 term over 100 coordinates of known sign: no LinExpr sum,
+        # where a sum per coordinate re-sorts the whole row each time
+        calls = []
+        add = roc.model.expr_add
+        monkeypatch.setattr(roc.model, "expr_add", lambda a, b: calls.append(1) or add(a, b))
+        names = [f"x{i}" for i in range(100)]
+        det = lower_one_term(1.0, [LinExpr.of({v: 1.0 + i}) for i, v in enumerate(names)],
+                             {v: POS for v in names})
+        assert calls == []
+        assert det.linear_rows[0].lhs == LinExpr.of({v: 0.5 * (1.0 + i) for i, v in enumerate(names)})
+
+
 class TestLowering:
     def test_example1_inf_ball_sign_rows(self):
         # the capacity row's q=1 term is over x >= 0, so every coordinate has

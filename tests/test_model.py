@@ -143,6 +143,15 @@ class TestBlocksAndConstraints:
         assert args[0] == lx({"x1": 1.0})
         assert args[1] == lx({"x1": 2.0, "x2": -1.0})
 
+    def test_arg_exprs_of_shuffled_on_with_zeros(self):
+        rng = np.random.default_rng(5)
+        on = tuple(f"x{i}" for i in rng.permutation(30))
+        P = rng.uniform(-1, 1, (30, 7)) * (rng.uniform(size=(30, 7)) < 0.6)  # zeros, some -0.0
+        block = roc.UncertainBlock(on, P, roc.NormBall(2.0, 1.0, 7))
+        expected = tuple(lx(dict(zip(on, column))) for column in block.P.T.tolist())
+        assert block.arg_exprs() == expected
+        assert all(0 < len(arg.terms) < 30 for arg in expected)
+
     def test_robust_equality_rejected(self):
         ball = roc.NormBall(2.0, 1.0, 1)
         block = roc.UncertainBlock(("x1",), np.eye(1), ball)

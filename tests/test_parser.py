@@ -7,7 +7,7 @@ import pytest
 
 import roc
 from roc.cli import main
-from roc.parser import ParseError
+from roc.parser import ParseError, _tokenize
 
 from support import FIXTURES, fixture_text
 
@@ -142,6 +142,17 @@ DIAGNOSTICS = [
     ("min: 1e*x;", "1:7: syntax: expected ';', found 'e'", 1),
     ("min: x;\nvar été; var été;", "2:14: syntax: variable 'été' declared twice", 3),
     ("min: été <= 1;", "1:10: syntax: expected ';', found '<='", 2),
+    # a list of numbers where no vector belongs names its first element
+    ("min: x;\nc: x <= 1 uncertain(P=[1], Z=ball(p=2, r=1));",
+     "2:24: syntax: expected '[', found '1'", 1),
+    ("min: x;\nc: x <= 1 uncertain(P=[-1, 2], Z=ball(p=2, r=1));",
+     "2:24: syntax: expected '[', found '-'", 1),
+    ("min: x;\nc: x <= 1 uncertain(on=[1], Z=ball(p=2, r=1));",
+     "2:25: syntax: expected a variable name, found '1'", 1),
+    ("min: x;\nc: x <= 1 uncertain(P[1], Z=ball(p=2, r=1));",
+     "2:22: syntax: expected '=', found '['", 1),
+    ("min: [1, 2];", "1:6: syntax: expected a term, found '['", 1),
+    ("[1] min: x;", "1:1: syntax: expected a statement, found '['", 1),
 ]
 
 
@@ -158,6 +169,58 @@ def test_diagnostic_cli_line(tmp_path, capsys):
     path.write_text("min: x;\n\tc: x ? 1;\n")
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err == f"{path}:2:7: lex: unexpected character '?'\n"
+
+
+# number bodies a list entry can take, each with or without a sign
+LITERAL_BODIES = ["٣", ".5", "1.", "0", "2", "1e-3", "1E+2", "1e400"]
+SEPARATORS = [",", ", ", " ,\n\t", "\r\n,  "]
+
+
+def matrix_source(entries, sep) -> str:
+    rows = ", ".join("[" + sep.join(entries_row) + "]" for entries_row in entries)
+    names = [f"x{i + 1}" for i in range(len(entries))]
+    return (f"min: x1;\nc: {' + '.join(names)} <= 1 "
+            f"uncertain(on=[{', '.join(names)}], P=[{rows}], Z=ball(p=2, r=1));")
+
+
+def parsed_P(source) -> np.ndarray:
+    return roc.parse_model(source).constraints[0].uncertainty.P
+
+
+def test_number_lists_read_each_literal():
+    # a list of signed numbers is one token; each entry reads as sign * float(body),
+    # and written so that it lexes element by element it reads the same
+    rng = random.Random(14)
+    forms = [("", b) for b in LITERAL_BODIES] + [("-", "0"), ("+", "2")]
+    for trial in range(40):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        if trial == 0:  # every form once
+            rows, cols = 2, 5
+            cells = forms
+        else:
+            cells = [(rng.choice(["", "-", "+"]), rng.choice(LITERAL_BODIES))
+                     for _ in range(rows * cols)]
+        cells = [cells[r * cols:(r + 1) * cols] for r in range(rows)]
+        expected = np.array([[(-1.0 if sign == "-" else 1.0) * float(body) for sign, body in row]
+                             for row in cells]) + 0.0
+        sep = rng.choice(SEPARATORS)
+        fast = matrix_source([[sign + body for sign, body in row] for row in cells], sep)
+        assert [t.kind for t in _tokenize(fast)].count("numbers") == rows
+        P = parsed_P(fast)
+        assert np.array_equal(P, expected)
+        assert not np.signbit(P[P == 0.0]).any()  # -0 is stored as 0.0
+
+        commented = fast.replace("P=[[", "P=[[# a comment\n", 1)
+        detached = matrix_source([[f"{sign or '+'} {body}" for sign, body in row] for row in cells],
+                                 sep)
+        with_inf = matrix_source([["inf", *(s + b for s, b in row[1:])] if r == 0
+                                  else [s + b for s, b in row] for r, row in enumerate(cells)], sep)
+        for slow in (commented, detached):
+            assert [t.kind for t in _tokenize(slow)].count("numbers") < rows
+        assert np.array_equal(parsed_P(commented), expected)
+        assert np.array_equal(parsed_P(detached), expected)
+        expected[0, 0] = math.inf
+        assert np.array_equal(parsed_P(with_inf), expected)
 
 
 class TestParseUncertaintySpec:
