@@ -5,13 +5,19 @@ named constraints with optional uncertainty annotations.  See
 docs/grammar.md for the full EBNF.  Parsing is fail-fast: the first
 offending token raises a ParseError carrying its source span.
 
-The lexer is one compiled pattern.  A `[`...`]` list of signed numbers
-lexes as one `numbers` token, which only `vector()` reads; anywhere else it
-is first split back into the tokens its elements lex as, so diagnostics
-name the same token and span as element-by-element lexing would.
+The lexer is one compiled pattern.  Four shapes that make up almost every
+token of a large model lex as one compound token each, read whole only by
+its owner: a run of signed `c*x` terms (`terms`, read by `linexpr()`), a
+`[`...`]` list of names (`idents`, `ident_list()`), a list of signed numbers
+(`numbers`, `vector()`) and a list of such lists (`matrix`, `matrix()`).
+Anywhere else, and wherever its owner would report an error inside it, a
+compound is first split back: its span is lexed again by the same pattern
+without the compound alternatives, so every diagnostic names the token and
+span that element-by-element lexing would.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -50,24 +56,45 @@ class ParseError(RocError):
 
 
 class Token(NamedTuple):
-    kind: str  # "ident", "number", "numbers", "punct", "eof"
+    kind: str  # "ident", "number", "punct", "eof" or a compound kind (module docstring)
     text: str
     offset: int  # into the source; the span is computed only for errors
 
 
 # One alternative per token kind, tried in order; `bad` catches a number run
-# with two dots (`1.2.3`) or any other single character.  `numbers` is a
-# whole list `[n, ...]` of `number`s, each with a sign attached; a list that
-# holds a comment, `inf` or a detached sign lexes element by element.
+# with two dots (`1.2.3`) or any other single character.  The compounds hold
+# only `skip`-class spaces between their parts, and names that start with an
+# ASCII letter, so a list or sum that holds a comment, `inf`, a detached sign
+# in a list or a non-ASCII name lexes element by element:
+#   terms    [+-]? n*x, then any number of [+-] n*x
+#   idents   [x, ...]
+#   matrix   [[n, ...], ...], rows as in `numbers`
+#   numbers  [n, ...], each n with its sign attached
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?![\d.])(?:[eE][+-]?\d+)?"
-_TOKEN = re.compile(rf"""
-    (?P<skip>[ \t\r\n]+|\#[^\n]*)
-  | (?P<numbers>\[[ \t\r\n]*[+-]?{_NUMBER}(?:[ \t\r\n]*,[ \t\r\n]*[+-]?{_NUMBER})*[ \t\r\n]*\])
+
+
+@functools.cache
+def _lexer(compounds: bool) -> re.Pattern:
+    """The lexer, or with `compounds=False` the element-only one that splits
+    a compound back (compiled on the first split)."""
+    s, name = r"[ \t\r\n]*", r"[A-Za-z]\w*"
+    term = rf"{_NUMBER}{s}\*{s}{name}"
+    numbers = rf"\[{s}[+-]?{_NUMBER}(?:{s},{s}[+-]?{_NUMBER})*{s}\]"
+    compound = rf"""
+  | (?P<terms>[+-]?{s}{term}(?:{s}[+-]{s}{term})*)
+  | (?P<idents>\[{s}{name}(?:{s},{s}{name})*{s}\])
+  | (?P<matrix>\[{s}{numbers}(?:{s},{s}{numbers})*{s}\])
+  | (?P<numbers>{numbers})""" if compounds else ""
+    return re.compile(rf"""
+    (?P<skip>[ \t\r\n]+|\#[^\n]*){compound}
   | (?P<number>{_NUMBER})
   | (?P<ident>[^\W\d_]\w*)
   | (?P<punct><=|>=|[;:,=()\[\]+\-*])
   | (?P<bad>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?|.)
 """, re.VERBOSE | re.DOTALL)
+
+
+_TOKEN = _lexer(True)
 
 
 def _span(source: str, offset: int, length: int) -> SourceSpan:
@@ -113,8 +140,8 @@ class _Parser:
 
     def peek(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind == "numbers":
-            tok = self.split_numbers()
+        if tok.kind in ("terms", "idents", "matrix", "numbers"):
+            tok = self.split()
         return tok
 
     def next(self) -> Token:
@@ -123,13 +150,13 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def split_numbers(self) -> Token:
-        """Replace the `numbers` token at pos by its `[`, elements and `]`."""
+    def split(self) -> Token:
+        """Replace the compound token at pos by the element tokens of its span."""
         tok = self.tokens[self.pos]
-        inner = [Token(m.lastgroup, m.group(), m.start())
-                 for m in _TOKEN.finditer(self.source, tok.offset + 1, tok.offset + len(tok.text))
-                 if m.lastgroup != "skip"]
-        self.tokens[self.pos:self.pos + 1] = [Token("punct", "[", tok.offset), *inner]
+        self.tokens[self.pos:self.pos + 1] = [
+            Token(m.lastgroup, m.group(), m.start())
+            for m in _lexer(False).finditer(self.source, tok.offset, tok.offset + len(tok.text))
+            if m.lastgroup != "skip"]
         return self.tokens[self.pos]
 
     def fail(self, tok: Token, message: str, kind: str = SYNTAX):
@@ -161,6 +188,14 @@ class _Parser:
         self.next()
         return sign * float(tok.text)
 
+    def datum(self) -> float:
+        """A number of uncertainty-set data, which must be finite."""
+        value = self.number()
+        if not math.isfinite(value):
+            tok = self.tokens[self.pos - 1]  # the literal, after any sign
+            self.fail(tok, f"set data must be finite, found {tok.text!r}", DIMENSION)
+        return value
+
     def ident(self, what: str = "identifier") -> Token:
         tok = self.next()
         if tok.kind != "ident":
@@ -175,10 +210,21 @@ class _Parser:
         """Sum of signed terms, added into one dict in source order."""
         coeffs: dict[str, float] = {}
         constant = 0.0
-        sign = 1.0
-        if self.peek().text in ("-", "+"):
-            sign = -1.0 if self.next().text == "-" else 1.0
+        first = True  # the first term's sign may be left out
         while True:
+            # a run of terms is read whole where the sum can go on with it:
+            # opening with its own sign, or at the start with its number
+            if self.terms(coeffs) or first and self.terms(coeffs, 1.0):
+                first = False
+                continue
+            sign = 1.0
+            if self.peek().text in ("+", "-"):
+                sign = -1.0 if self.next().text == "-" else 1.0
+            elif not first:
+                return LinExpr.of(coeffs, constant)
+            first = False
+            if self.terms(coeffs, sign):  # or after a sign, with its number
+                continue
             tok = self.next()
             if tok.kind == "number":
                 coeff = sign * float(tok.text)
@@ -191,33 +237,66 @@ class _Parser:
                 coeffs[tok.text] = coeffs.get(tok.text, 0.0) + sign
             else:
                 self.fail(tok, f"expected a term, found {tok.text or 'end of input'!r}")
-            if self.peek().text not in ("+", "-"):
-                return LinExpr.of(coeffs, constant)
-            sign = -1.0 if self.next().text == "-" else 1.0
+
+    def terms(self, coeffs: dict[str, float], sign: float | None = None) -> bool:
+        """Add the `terms` token at pos into `coeffs`, if the sum goes on with it.
+
+        Without `sign` the run must open with its own sign; with it, the run
+        must open with its number, whose term takes `sign`.  A run that names
+        a keyword is left to the element path, which reports it."""
+        tok = self.tokens[self.pos]
+        if tok.kind != "terms" or (tok.text[0] in "+-") != (sign is None):
+            return False
+        run = re.findall(r"([+-]?)\s*([^\s*]+)\s*\*\s*(\w+)", tok.text)
+        if not KEYWORDS.isdisjoint([name for _, _, name in run]):
+            return False
+        self.pos += 1
+        for lead, body, name in run:
+            if lead:
+                sign = -1.0 if lead == "-" else 1.0
+            coeffs[name] = coeffs.get(name, 0.0) + sign * float(body)
+        return True
 
     def vector(self) -> list[float]:
         tok = self.tokens[self.pos]
         if tok.kind == "numbers":  # float() reads the attached sign and the spaces
-            self.pos += 1
-            return [float(text) for text in tok.text[1:-1].split(",")]
+            out = [float(text) for text in tok.text[1:-1].split(",")]
+            # a sum is finite only if every entry is; any other list (or an
+            # overflowing sum) takes the element path, which names the literal
+            if math.isfinite(sum(out)):
+                self.pos += 1
+                return out
         self.expect("[")
-        out = [self.number()]
+        out = [self.datum()]
         while self.accept(","):
-            out.append(self.number())
+            out.append(self.datum())
         self.expect("]")
         return out
 
     def matrix(self) -> list[list[float]]:
-        open_tok = self.expect("[")
-        out = [self.vector()]
-        while self.accept(","):
-            out.append(self.vector())
-        self.expect("]")
+        tok = self.tokens[self.pos]
+        rows = tok.text[1:-1].split("]")[:-1] if tok.kind == "matrix" else []
+        out = [[float(text) for text in row.lstrip(" \t\r\n,[").split(",")] for row in rows]
+        if out and math.isfinite(sum(map(sum, out))):  # as in vector()
+            self.pos += 1
+        else:
+            tok = self.expect("[")
+            out = [self.vector()]
+            while self.accept(","):
+                out.append(self.vector())
+            self.expect("]")
         if len({len(r) for r in out}) != 1:
-            self.fail(open_tok, "ragged matrix rows", DIMENSION)
+            self.fail(tok._replace(text="["), "ragged matrix rows", DIMENSION)
         return out
 
     def ident_list(self) -> list[Token]:
+        tok = self.tokens[self.pos]
+        if tok.kind == "idents":
+            names = [Token("ident", m.group(), tok.offset + m.start())
+                     for m in re.finditer(r"\w+", tok.text)]
+            if KEYWORDS.isdisjoint([name.text for name in names]):
+                self.pos += 1
+                return names
         self.expect("[")
         out = [self.ident("a variable name")]
         while self.accept(","):
@@ -236,7 +315,7 @@ class _Parser:
             self.expect(",")
             self.expect("r")
             self.expect("=")
-            r = self.number()
+            r = self.datum()
             dim = None
             if self.accept(","):
                 self.expect("dim")

@@ -143,6 +143,27 @@ class TestExitCodes:
         assert code == 2
         assert err == "m.roc:2:46: dimension: norm ball: dimension must be an integer, got 2.5\n"
 
+    # regressions: a non-finite polytope bound escaped as a ValueError traceback
+    # (from `check`, or from `pipeline` for the rhs P); an infinite P entry or
+    # radius solved to objective 0 with verdict pass, where z = 0 already
+    # demands x1 >= 1
+    @pytest.mark.parametrize("text, column, literal", [
+        ("min: x1; d: x1 >= 0 rhs_uncertain(P=[[1, 0]], "
+         "Z=poly(D=[[1,0],[-1,0],[0,1],[0,-1]], d=[1e400, 1, 1, 1]));", 88, "1e400"),
+        ("var x1 >= 0 <= 1; min: x1; d: x1 >= 1 uncertain(on=[x1], P=[[inf]], Z=ball(p=2, r=1));",
+         62, "inf"),
+        ("var x1 >= 0 <= 1; min: x1; d: x1 >= 1 uncertain(on=[x1], Z=ball(p=2, r=inf));", 72, "inf"),
+        ("var x1 >= 0 <= 1; min: x1; d: x1 >= 1 rhs_uncertain(P=[[inf]], Z=ball(p=2, r=1));",
+         57, "inf"),
+    ])
+    def test_non_finite_set_data_exit_2(self, capsys, tmp_path, text, column, literal):
+        path = tmp_path / "m.roc"
+        path.write_text(text + "\n")
+        for command in ("check", "pipeline"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err == (
+                f"{path}:1:{column}: dimension: set data must be finite, found {literal!r}\n")
+
     def test_infeasible_exit_3(self, capsys):
         code, out = run_cli(capsys, "solve", DIET)
         assert code == 3

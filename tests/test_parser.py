@@ -1,4 +1,5 @@
 """DSL parsing: grammar coverage, error spans, set validation."""
+import importlib.util
 import math
 import random
 
@@ -7,7 +8,7 @@ import pytest
 
 import roc
 from roc.cli import main
-from roc.parser import ParseError, _tokenize
+from roc.parser import ParseError, _lexer, _Parser, _tokenize
 
 from support import FIXTURES, fixture_text
 
@@ -153,6 +154,20 @@ DIAGNOSTICS = [
      "2:22: syntax: expected '=', found '['", 1),
     ("min: [1, 2];", "1:6: syntax: expected a term, found '['", 1),
     ("[1] min: x;", "1:1: syntax: expected a statement, found '['", 1),
+    # a run of terms, a list of names or a matrix that its reader cannot take
+    # whole names the element it fails at
+    ("var x; min: 2*x 3*x;", "1:17: syntax: expected ';', found '3'", 1),
+    ("var x; min: 2*inf + 3*x;", "1:15: syntax: keyword 'inf' cannot be used as a variable name", 3),
+    ("var x; min: 2*x + 3*var;", "1:21: syntax: keyword 'var' cannot be used as a variable name", 3),
+    ("var x; min: 2*x + -3*x;", "1:19: syntax: expected a term, found '-'", 1),
+    ("var x; min: x; c: x <= 1 uncertain(on=[x, var], Z=ball(p=2, r=1));",
+     "1:43: syntax: keyword 'var' cannot be used as a variable name", 3),
+    ("var x; min: x; c: x <= 1 uncertain(on=[x, zz], Z=ball(p=2, r=1));",
+     "1:43: unknown-symbol: unknown variable 'zz'", 2),
+    ("var x; min: x; c: x <= 1 uncertain(on=[x], P=[[1, 2], [3]], Z=ball(p=2, r=1));",
+     "1:46: dimension: ragged matrix rows", 1),
+    ("var x; min: x; c: x <= 1 uncertain(on=[[1]], Z=ball(p=2, r=1));",
+     "1:40: syntax: expected a variable name, found '['", 1),
 ]
 
 
@@ -187,9 +202,20 @@ def parsed_P(source) -> np.ndarray:
     return roc.parse_model(source).constraints[0].uncertainty.P
 
 
+def assert_rejected_at(source, literal):
+    """Parsing fails at the first `literal` of `source`, a non-finite set entry."""
+    with pytest.raises(ParseError) as exc:
+        roc.parse_model(source)
+    offset = source.index(literal)
+    line, column = source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+    assert str(exc.value) == f"{line}:{column}: dimension: set data must be finite, found {literal!r}"
+    assert exc.value.span.length == len(literal)
+
+
 def test_number_lists_read_each_literal():
-    # a list of signed numbers is one token; each entry reads as sign * float(body),
-    # and written so that it lexes element by element it reads the same
+    # a matrix of signed numbers is one token; each entry reads as sign * float(body),
+    # and written so that it lexes element by element it reads the same; an
+    # entry that overflows to inf is rejected at its literal on every path
     rng = random.Random(14)
     forms = [("", b) for b in LITERAL_BODIES] + [("-", "0"), ("+", "2")]
     for trial in range(40):
@@ -205,11 +231,7 @@ def test_number_lists_read_each_literal():
                              for row in cells]) + 0.0
         sep = rng.choice(SEPARATORS)
         fast = matrix_source([[sign + body for sign, body in row] for row in cells], sep)
-        assert [t.kind for t in _tokenize(fast)].count("numbers") == rows
-        P = parsed_P(fast)
-        assert np.array_equal(P, expected)
-        assert not np.signbit(P[P == 0.0]).any()  # -0 is stored as 0.0
-
+        assert [t.kind for t in _tokenize(fast)].count("matrix") == 1
         commented = fast.replace("P=[[", "P=[[# a comment\n", 1)
         detached = matrix_source([[f"{sign or '+'} {body}" for sign, body in row] for row in cells],
                                  sep)
@@ -217,10 +239,104 @@ def test_number_lists_read_each_literal():
                                   else [s + b for s, b in row] for r, row in enumerate(cells)], sep)
         for slow in (commented, detached):
             assert [t.kind for t in _tokenize(slow)].count("numbers") < rows
-        assert np.array_equal(parsed_P(commented), expected)
-        assert np.array_equal(parsed_P(detached), expected)
-        expected[0, 0] = math.inf
-        assert np.array_equal(parsed_P(with_inf), expected)
+        if np.isfinite(expected).all():
+            P = parsed_P(fast)
+            assert np.array_equal(P, expected)
+            assert not np.signbit(P[P == 0.0]).any()  # -0 is stored as 0.0
+            assert np.array_equal(parsed_P(commented), expected)
+            assert np.array_equal(parsed_P(detached), expected)
+        else:
+            for source in (fast, commented, detached):
+                assert_rejected_at(source, "1e400")
+        assert_rejected_at(with_inf, "inf")
+
+
+def benchmark_models() -> list[str]:
+    """One seed-1 model of each benchmark family, as perfbench/gen.py writes it.
+
+    For `cone` it is the family's first seed-1 draw: picking models by
+    difficulty would need the scipy reference solves."""
+    path = FIXTURES.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    cone = gen._dense_model("cone", gen._Draw(1, 2, 0, gen.CONE_JITTER), *gen.CONE_SIZE,
+                            gen._dense_ball(2.0, gen.CONE_RADIUS))
+    return [gen.roc_text(spec) for spec in (gen.signrow(1)[0], cone, gen.twostage(1)[0],
+                                            gen.compile_family(1)[0])]
+
+
+def element_tokens(source):
+    """Element-by-element lexing: the `(kind, text, offset)` tokens before the
+    first bad one, and that one's offset (None if there is none)."""
+    out = []
+    for m in _lexer(False).finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "bad" or kind == "ident" and not text[0].isalpha():
+            return out, m.start()
+        if kind != "skip":
+            out.append((kind, text, m.start()))
+    return out, None
+
+
+def test_compounds_split_into_element_tokens():
+    # the invariant the diagnostics rest on: splitting every compound token
+    # gives exactly the tokens that element-by-element lexing gives
+    texts = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.roc"))] + benchmark_models()
+    rng = random.Random(16)
+    sources = texts + [mutate(rng, rng.choice(texts)) for _ in range(300)] + [
+        "min: 2*x² + 3*é - 4*y½;", "min: 2 * x - 3*²x;", "min: x - 1*½;",
+        "min: 2*x # c\n+ 3*y - 1e5*inf +4*var;",
+        "min: x; c: x <= 1 uncertain(on=[x, é], Z=ball(p=2, r=1));",
+        "min: x; c: x <= 1 uncertain(on=[x, ²y], Z=ball(p=2, r=1));",
+        "min: x; c: x <= 1 uncertain(on=[x,\tinf], P=[[1, -2], [٣, .5]],"
+        " Z=poly(D=[[1],[-1]], d=[1e400, + 1]));",
+    ]
+    compounds = 0
+    for source in sources:
+        expected, bad = element_tokens(source)
+        if bad is not None:
+            with pytest.raises(ParseError) as exc:
+                _tokenize(source)
+            line, column = source.count("\n", 0, bad) + 1, bad - source.rfind("\n", 0, bad)
+            assert (exc.value.span.line, exc.value.span.column) == (line, column)
+            continue
+        parser = _Parser(source)
+        compounds += sum(t.kind in ("terms", "idents", "matrix", "numbers") for t in parser.tokens)
+        while parser.peek().kind != "eof":  # peek() splits every compound it meets
+            parser.next()
+        assert [tuple(t) for t in parser.tokens[:-1]] == expected
+    assert compounds > 1000
+
+
+def test_term_runs_add_like_the_sequential_sum():
+    # a run of `c*x` terms adds each term into the dict in source order, as
+    # term-by-term parsing does; the same sum written so that it leaves the
+    # run (a comment, a sign before a comment, a bare name) reads the same
+    rng = random.Random(16)
+    bodies = ["3", "0.25", "1.", ".5", "2e-3", "1E+2", "٣", "7.125e1", "1"]
+    for _ in range(30):
+        terms = [(rng.choice("+-"), rng.choice(bodies), f"x{rng.randint(1, 12)}")
+                 for _ in range(rng.randint(50, 150))]
+        coeffs: dict[str, float] = {}
+        for sign, body, name in terms:
+            coeffs[name] = coeffs.get(name, 0.0) + (-1.0 if sign == "-" else 1.0) * float(body)
+        expected = roc.LinExpr.of(coeffs)
+
+        def text(write):
+            return " ".join(write(k, *term) for k, term in enumerate(terms))
+        cut, note = rng.randrange(1, len(terms)), "# c\n"
+        forms = {
+            "run": text(lambda k, s, b, x: f"{'' if k == 0 and s == '+' else s} {b}*{x}"),
+            "comment": text(lambda k, s, b, x: f"{note if k == cut else ''}{s} {b}*{x}"),
+            "sign": text(lambda k, s, b, x: f"{s} {note if k == cut else ''}{b}*{x}"),
+            "bare": text(lambda k, s, b, x: f"{s} {x if b == '1' else b + '*' + x}"),
+        }
+        for form, sum_text in forms.items():
+            source = f"min: {sum_text};"
+            if form == "run":
+                assert [t.kind for t in _tokenize(source)].count("terms") == 1
+            assert roc.parse_model(source).objective.terms == expected.terms, form
 
 
 class TestParseUncertaintySpec:
