@@ -71,17 +71,23 @@ class Token(NamedTuple):
 #   matrix   [[n, ...], ...], rows as in `numbers`
 #   numbers  [n, ...], each n with its sign attached
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?![\d.])(?:[eE][+-]?\d+)?"
+_NAME = re.compile(r"[A-Za-z]\w*")
+# one term of a `terms` run, from its sign, number and name; the lexer and the
+# reader in terms() fill in the same template, so a run is read back term by
+# term exactly where it was lexed
+_TERM = r"[ \t\r\n]*{}[ \t\r\n]*{}[ \t\r\n]*\*[ \t\r\n]*{}"
+_TERM_PARTS = re.compile(_TERM.format("([+-]?)", f"({_NUMBER})", f"({_NAME.pattern})"))
 
 
 @functools.cache
 def _lexer(compounds: bool) -> re.Pattern:
     """The lexer, or with `compounds=False` the element-only one that splits
     a compound back (compiled on the first split)."""
-    s, name = r"[ \t\r\n]*", r"[A-Za-z]\w*"
-    term = rf"{_NUMBER}{s}\*{s}{name}"
+    s, name = r"[ \t\r\n]*", _NAME.pattern
+    first, then = (_TERM.format(sign, _NUMBER, name) for sign in ("[+-]?", "[+-]"))
     numbers = rf"\[{s}[+-]?{_NUMBER}(?:{s},{s}[+-]?{_NUMBER})*{s}\]"
     compound = rf"""
-  | (?P<terms>[+-]?{s}{term}(?:{s}[+-]{s}{term})*)
+  | (?P<terms>{first}(?:{then})*)
   | (?P<idents>\[{s}{name}(?:{s},{s}{name})*{s}\])
   | (?P<matrix>\[{s}{numbers}(?:{s},{s}{numbers})*{s}\])
   | (?P<numbers>{numbers})""" if compounds else ""
@@ -247,7 +253,7 @@ class _Parser:
         tok = self.tokens[self.pos]
         if tok.kind != "terms" or (tok.text[0] in "+-") != (sign is None):
             return False
-        run = re.findall(r"([+-]?)\s*([^\s*]+)\s*\*\s*(\w+)", tok.text)
+        run = _TERM_PARTS.findall(tok.text)
         if not KEYWORDS.isdisjoint([name for _, _, name in run]):
             return False
         self.pos += 1
@@ -293,7 +299,7 @@ class _Parser:
         tok = self.tokens[self.pos]
         if tok.kind == "idents":
             names = [Token("ident", m.group(), tok.offset + m.start())
-                     for m in re.finditer(r"\w+", tok.text)]
+                     for m in _NAME.finditer(tok.text)]
             if KEYWORDS.isdisjoint([name.text for name in names]):
                 self.pos += 1
                 return names

@@ -2,6 +2,7 @@
 import importlib.util
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -251,19 +252,46 @@ def test_number_lists_read_each_literal():
         assert_rejected_at(with_inf, "inf")
 
 
-def benchmark_models() -> list[str]:
-    """One seed-1 model of each benchmark family, as perfbench/gen.py writes it.
+# the first seed-1 draw of the benchmark's `cone` family: the family itself
+# picks its models by difficulty, which needs the scipy reference solves
+CONE_MODEL = "# cone\n" + "".join(f"var x{i} >= 0 <= 10;\n" for i in range(1, 6)) + (
+    "max: 2.04*x1 + 2.19*x2 + 4.25*x3 + 1.36*x4 + 3.42*x5;\n"
+    "c1: 3.88*x1 + 1.74*x2 + 1.23*x3 + 2.11*x4 + 3.61*x5 <= 78.14"
+    " uncertain(on=[x1, x2, x3, x4, x5], Z=ball(p=2, r=1, dim=5));\n"
+    "c2: 1.62*x1 + 2.75*x2 + 3.66*x3 + 2.67*x4 + 3.51*x5 <= 98.22"
+    " uncertain(on=[x1, x2, x3, x4, x5], Z=ball(p=2, r=1, dim=5));\n")
 
-    For `cone` it is the family's first seed-1 draw: picking models by
-    difficulty would need the scipy reference solves."""
+
+def benchmark_models() -> list[str]:
+    """One seed-1 model of each benchmark family, through perfbench/gen.py's
+    public family functions (`cone` as text, above)."""
     path = FIXTURES.parent / "perfbench" / "gen.py"
     spec = importlib.util.spec_from_file_location("perfbench_gen", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    cone = gen._dense_model("cone", gen._Draw(1, 2, 0, gen.CONE_JITTER), *gen.CONE_SIZE,
-                            gen._dense_ball(2.0, gen.CONE_RADIUS))
-    return [gen.roc_text(spec) for spec in (gen.signrow(1)[0], cone, gen.twostage(1)[0],
-                                            gen.compile_family(1)[0])]
+    families = (gen.signrow, gen.twostage, gen.compile_family)
+    return [gen.roc_text(family(1)[0]) for family in families] + [CONE_MODEL]
+
+
+def lexer_sources() -> list[str]:
+    """Every fixture and benchmark model as written and with a seeded sign
+    attached to each number that opens a statement or follows a sign
+    (`min: -2*x -3*y +4*z`), 300 seeded mutations of these and hand-written
+    edge cases."""
+    rng = random.Random(16)
+    texts = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.roc"))] + benchmark_models()
+    texts += [re.sub(r"(?<=: )(?=[\d.])|[+-] (?=[\d.])", lambda _: rng.choice("+-"), text)
+              for text in texts]
+    return texts + [mutate(rng, rng.choice(texts)) for _ in range(300)] + [
+        "min: 2*x² + 3*é - 4*y½;", "min: 2 * x - 3*²x;", "min: x - 1*½;",
+        "min: 2*x # c\n+ 3*y - 1e5*inf +4*var;",
+        "min: -2*x -3*y +4*z;", "min: 2*x\t-\t3*y +\n4*z-5*x+ 1*y;",
+        "var x1; var x2; min: x1; c: -1*x1 -2*x2 <= 3;",
+        "min: x; c: x <= 1 uncertain(on=[x, é], Z=ball(p=2, r=1));",
+        "min: x; c: x <= 1 uncertain(on=[x, ²y], Z=ball(p=2, r=1));",
+        "min: x; c: x <= 1 uncertain(on=[x,\tinf], P=[[1, -2], [٣, .5]],"
+        " Z=poly(D=[[1],[-1]], d=[1e400, + 1]));",
+    ]
 
 
 def element_tokens(source):
@@ -282,18 +310,8 @@ def element_tokens(source):
 def test_compounds_split_into_element_tokens():
     # the invariant the diagnostics rest on: splitting every compound token
     # gives exactly the tokens that element-by-element lexing gives
-    texts = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.roc"))] + benchmark_models()
-    rng = random.Random(16)
-    sources = texts + [mutate(rng, rng.choice(texts)) for _ in range(300)] + [
-        "min: 2*x² + 3*é - 4*y½;", "min: 2 * x - 3*²x;", "min: x - 1*½;",
-        "min: 2*x # c\n+ 3*y - 1e5*inf +4*var;",
-        "min: x; c: x <= 1 uncertain(on=[x, é], Z=ball(p=2, r=1));",
-        "min: x; c: x <= 1 uncertain(on=[x, ²y], Z=ball(p=2, r=1));",
-        "min: x; c: x <= 1 uncertain(on=[x,\tinf], P=[[1, -2], [٣, .5]],"
-        " Z=poly(D=[[1],[-1]], d=[1e400, + 1]));",
-    ]
     compounds = 0
-    for source in sources:
+    for source in lexer_sources():
         expected, bad = element_tokens(source)
         if bad is not None:
             with pytest.raises(ParseError) as exc:
@@ -309,10 +327,36 @@ def test_compounds_split_into_element_tokens():
     assert compounds > 1000
 
 
+def parse_outcome(source):
+    """The model JSON that `source` parses to, or its ParseError and span length."""
+    try:
+        return roc.emit_json(roc.parse_model(source))
+    except ParseError as exc:
+        return str(exc), exc.span.length
+
+
+def test_compounds_read_like_elements(monkeypatch):
+    # each compound's reader gives the model, or the error, that reading it
+    # element by element gives
+    sources = lexer_sources()
+    fast = [parse_outcome(source) for source in sources]
+    monkeypatch.setattr(roc.parser, "_TOKEN", _lexer(False))
+    assert [parse_outcome(source) for source in sources] == fast
+
+
+def test_attached_signs_after_spaces():
+    # a sign attached to its number after a space belongs to that term alone
+    m = roc.parse_model("var x1; var x2; min: -2*x -3*y +4*z; c: -1*x1 -2*x2 <= 3;")
+    assert [t.kind for t in _tokenize("min: -2*x -3*y +4*z;")].count("terms") == 1
+    assert m.objective.terms == (("x", -2.0), ("y", -3.0), ("z", 4.0))
+    assert m.constraints[0].lhs == roc.LinExpr.of({"x1": -1.0, "x2": -2.0})
+
+
 def test_term_runs_add_like_the_sequential_sum():
     # a run of `c*x` terms adds each term into the dict in source order, as
-    # term-by-term parsing does; the same sum written so that it leaves the
-    # run (a comment, a sign before a comment, a bare name) reads the same
+    # term-by-term parsing does, whether each sign stands apart from its number,
+    # is attached to it or is spaced at random; the same sum written so that it
+    # leaves the run (a comment, a sign before a comment, a bare name) reads the same
     rng = random.Random(16)
     bodies = ["3", "0.25", "1.", ".5", "2e-3", "1E+2", "٣", "7.125e1", "1"]
     for _ in range(30):
@@ -328,13 +372,16 @@ def test_term_runs_add_like_the_sequential_sum():
         cut, note = rng.randrange(1, len(terms)), "# c\n"
         forms = {
             "run": text(lambda k, s, b, x: f"{'' if k == 0 and s == '+' else s} {b}*{x}"),
+            "attached": text(lambda k, s, b, x: f"{'' if k == 0 and s == '+' else s}{b}*{x}"),
+            "tight": "".join(f"{s}{rng.choice(['', ' ', chr(9), chr(10)])}{b}*{x}"
+                             for s, b, x in terms),
             "comment": text(lambda k, s, b, x: f"{note if k == cut else ''}{s} {b}*{x}"),
             "sign": text(lambda k, s, b, x: f"{s} {note if k == cut else ''}{b}*{x}"),
             "bare": text(lambda k, s, b, x: f"{s} {x if b == '1' else b + '*' + x}"),
         }
         for form, sum_text in forms.items():
             source = f"min: {sum_text};"
-            if form == "run":
+            if form in ("run", "attached", "tight"):
                 assert [t.kind for t in _tokenize(source)].count("terms") == 1
             assert roc.parse_model(source).objective.terms == expected.terms, form
 
