@@ -31,6 +31,8 @@ def _frozen_array(values, ndim: int) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise DimensionError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DimensionError(f"set data must be finite, found {arr[~np.isfinite(arr)][0]}")
     arr += 0.0  # drop -0.0
     arr.setflags(write=False)
     return arr
@@ -74,17 +76,6 @@ class LinExpr:
 
     def evaluate(self, values: dict[str, float]) -> float:
         return self.constant + sum(c * values[v] for v, c in self.terms)
-
-    def substitute(self, values: dict[str, float]) -> "LinExpr":
-        """Replace a subset of variables by numbers, folding them into the constant."""
-        coeffs = {}
-        constant = self.constant
-        for v, c in self.terms:
-            if v in values:
-                constant += c * values[v]
-            else:
-                coeffs[v] = c
-        return LinExpr.of(coeffs, constant)
 
     def scaled(self, k: float) -> "LinExpr":
         return LinExpr.of({v: k * c for v, c in self.terms}, k * self.constant)
@@ -185,6 +176,8 @@ class NormBall(UncertaintySet):
             raise ModelError(f"norm ball: p must be >= 1, got {self.p}")
         if self.radius < 0.0:
             raise ModelError(f"norm ball: radius must be >= 0, got {self.radius}")
+        if not math.isfinite(self.radius):
+            raise DimensionError(f"norm ball: radius must be finite, got {self.radius}")
         if self.L < 1:
             raise DimensionError(f"norm ball: dimension must be >= 1, got {self.L}")
 

@@ -12,9 +12,10 @@ lowered models and, as the independent oracle for every reformulation,
 canonical robust models directly.  It keeps one master tableau: a new cut is
 one appended row whose slack is basic, which leaves the optimal basis dual
 feasible, so bounded dual simplex steps restore primal feasibility and the
-primal simplex confirms the optimum; a cut that leaves the pool with its
-slack basic is deleted in place.  Evicting a binding cut, and a dual phase
-that repeats a state or finds no entering column, re-solve the master cold.
+primal simplex confirms the optimum.  A full pool evicts only a cut that
+does not bind, whose slack is basic, so the cut is deleted in place.  A
+dual phase that repeats a state or finds no entering column re-solves the
+master cold.
 """
 from __future__ import annotations
 
@@ -465,8 +466,7 @@ class _LP:
     the model's, then the appended ones; each gets one slack, in [0, inf) on
     a "<=" row and [0, 0] on an "=" row.  The tableau of an optimal solve is
     kept: `add_row` and `drop_row` edit it, and the next `solve` starts from
-    its basis with dual simplex steps.  Dropping a row whose slack is
-    nonbasic discards it, and the next solve is cold.
+    its basis with dual simplex steps.
     """
 
     def __init__(self, model: DeterministicModel):
@@ -494,7 +494,6 @@ class _LP:
         self.rows: list[tuple[np.ndarray, float, float]] = []  # appended (a, b, slack up)
         self.slacks: list[int] = []  # the tableau column of each appended row's slack
         self.tab: _Tableau | None = None
-        self.why: str | None = None  # why the next solve cannot start from `tab`
 
     def dense(self, lhs: LinExpr) -> tuple[np.ndarray, float]:
         """Coefficients over the columns, and the value of lhs with every column at 0."""
@@ -515,16 +514,11 @@ class _LP:
             self.tab.add_row(a, b, up)
 
     def drop_row(self, k: int):
-        """Drop appended row k: in place when its slack is basic."""
+        """Drop appended row k, whose slack is basic in the kept tableau, in place."""
         del self.rows[k]
-        if self.tab is None:
-            return
         col = self.slacks.pop(k)
-        if col in self.tab.basis:
-            self.tab.drop_row(len(self.b) + k, col)
-            self.slacks = [j - (j > col) for j in self.slacks]
-        else:
-            self.tab, self.why = None, "an evicted cut was binding"
+        self.tab.drop_row(len(self.b) + k, col)
+        self.slacks = [j - (j > col) for j in self.slacks]
 
     def solve(self, max_pivots: int = MAX_PIVOTS) -> tuple[str, int, str]:
         """(status, steps, how the solve started).
@@ -535,7 +529,7 @@ class _LP:
         cold solve, whose phase 1 then decides infeasibility; its steps
         still count.
         """
-        pivots = 0
+        pivots, why = 0, None
         if self.tab is not None:
             self.tab.every = REFACTOR_EVERY  # a rollback's every-step refactorization lasts one solve
             why, pivots = self.tab.dual_iterate(max_pivots)
@@ -544,9 +538,7 @@ class _LP:
                 return self._kept(status), pivots + used, "warm start"
             if why == ITERATION_LIMIT:
                 return self._kept(why), pivots, "warm start"
-            self.why = why
-        origin = "cold start" if self.why is None else f"cold start: {self.why}"
-        self.why = None
+        origin = "cold start" if why is None else f"cold start: {why}"
         status, used = self._cold(max_pivots - pivots)
         return self._kept(status), pivots + used, origin
 
@@ -748,8 +740,12 @@ def _cutting_loop(kind: str, master: DeterministicModel, gens: list[tuple],
     the violated realizations to the master's kept tableau as cuts;
     `iterations` counts rounds.  Supporting cuts of one row converge onto
     the same face and become nearly parallel, and letting them pile up makes
-    the master arbitrarily ill-conditioned, so only the most recent CUT_POOL
-    cuts per generator stay (an evicted cut is re-addable if it re-violates).
+    the master arbitrarily ill-conditioned, so a generator that holds
+    CUT_POOL cuts evicts its oldest cut that does not bind (an evicted cut
+    is re-addable if it re-violates).  Binding cuts stay, since dropping one
+    lets the next round re-add it and the loop cycle between cut sets; a
+    pool whose cuts all bind grows instead.  A binding cut has a nonbasic
+    slack, so there are at most as many as the master has columns.
     A master LP that ends non-optimal is returned as it is.
     """
     lp = _LP(master)
@@ -781,9 +777,12 @@ def _cutting_loop(kind: str, master: DeterministicModel, gens: list[tuple],
         evicted = 0
         for k, _, _, _ in cuts:
             mine = [i for i, (gen, _) in enumerate(live) if gen == k]
-            if len(mine) >= CUT_POOL:
-                lp.drop_row(mine[0])
-                del live[mine[0]]
+            if len(mine) < CUT_POOL:
+                continue
+            loose = [i for i in mine if lp.slacks[i] in lp.tab.basis]
+            if loose:
+                lp.drop_row(loose[0])
+                del live[loose[0]]
                 evicted += 1
         for k, key, a, b in cuts:
             lp.add_row(a, b)

@@ -102,6 +102,18 @@ class TestEmitJson:
         assert dump["objective"] is None
         assert dump["status"] == "infeasible"
 
+    def test_from_json_rejects_non_finite_set_data(self):
+        # a p = inf ball and an unbounded variable load; an infinite radius or
+        # entry of P is rejected as the parser rejects it in .roc text
+        src = "var x >= 0; max: x; c: 2*x <= 1 uncertain(on=[x], P=[[3]], Z=ball(p=inf, r=1, dim=1));"
+        model = roc.parse_model(src)
+        dump = roc.emit_json(model)
+        assert roc.model_from_json(dump) == model
+        for finite, infinite in (('"r": 1.0', '"r": Infinity'), ("3.0", "Infinity")):
+            assert dump.count(finite) == 1
+            with pytest.raises(roc.DimensionError, match="must be finite"):
+                roc.model_from_json(dump.replace(finite, infinite))
+
     def test_from_json_rejects_other_kinds(self):
         pre = roc.canonicalize(roc.parse_model("min: x; c: x >= 1;"))
         with pytest.raises(roc.ModelError):

@@ -72,10 +72,9 @@ class TestCanonicalForm:
         e = lx({"z": 1.0, "a": 2.0, "m": 3.0})
         assert [v for v, _ in e.terms] == ["a", "m", "z"]
 
-    def test_evaluate_substitute(self):
+    def test_evaluate(self):
         e = lx({"x": 2.0, "y": -1.0}, 5.0)
         assert e.evaluate({"x": 3.0, "y": 1.0}) == 10.0
-        assert e.substitute({"x": 3.0}) == lx({"y": -1.0}, 11.0)
 
     def test_scaled(self):
         assert lx({"x": 2.0}, 1.0).scaled(-2.0) == lx({"x": -4.0}, -2.0)

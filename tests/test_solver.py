@@ -375,27 +375,6 @@ class TestWarmStart:
         assert origin == "cold start: the dual simplex found no entering column"
         assert steps >= 1  # the dual steps taken are counted
 
-    def test_evicting_a_binding_row_restarts_cold(self):
-        # a dropped row whose slack is nonbasic takes the tableau with it;
-        # the next solve is cold and gives the cold answer
-        xs = [roc.VariableDecl("x", lower=0.0, upper=3.0),
-              roc.VariableDecl("y", lower=0.0, upper=3.0)]
-        objective = LinExpr.of({"x": -1.0, "y": -1.0})
-        rows = [roc.Constraint("r1", LinExpr.of({"x": 1.0, "y": 2.0}), "<=", 4.0),
-                roc.Constraint("r2", LinExpr.of({"x": 2.0, "y": 1.0}), "<=", 4.0)]
-        lp = roc.solver._LP(det_model(xs, objective, []))
-        for row in rows:
-            self.append(lp, row)
-        assert lp.solve()[0] == "optimal"
-        assert set(lp.tab.basis) == {0, 1}  # both rows bind
-        lp.drop_row(0)
-        status, steps, origin = lp.solve()
-        sol = lp.solution(status, steps)
-        cold = roc.simplex_solve(det_model(xs, objective, rows[1:]))
-        assert origin == "cold start: an evicted cut was binding"
-        assert (sol.status, sol.objective, sol.values) == (cold.status, cold.objective, cold.values)
-        assert sol.objective == -3.5
-
     def test_row_that_holds_takes_no_steps(self):
         xs = [roc.VariableDecl("x", lower=0.0, upper=3.0), roc.VariableDecl("y", lower=0.0)]
         objective = LinExpr.of({"x": -1.0, "y": -1.0})
@@ -553,9 +532,9 @@ class TestCuttingPlane:
             assert all(", warm start, " in line for line in lines[1:]), lines
 
     def test_small_cut_pools_evict(self, monkeypatch, caplog):
-        # a full pool evicts its oldest cut: deleted from the kept tableau when
-        # its slack is basic, by a cold re-solve when it binds.  Pools of fewer
-        # than 8 cuts make both loops cycle to the round limit on dense_ball2.roc
+        # a full pool evicts its oldest cut that does not bind, deleted from
+        # the kept tableau in place, and keeps its binding cuts, so no pool
+        # cycles to the round limit
         default = roc.solver.CUT_POOL
         evictions, drops = [], []
         evict, drop = roc.solver._LP.drop_row, roc.solver._Tableau.drop_row
@@ -565,13 +544,14 @@ class TestCuttingPlane:
         cases = [(full_pipeline(fixture_text("dense_ball2.roc"))[2], (8, 12))]
         cases += [(random_instance(seed), pools)
                   for seed, pools in ((1, (1,)), (13, (2,)), (15, (1, 2)), (18, (2,)))]
-        cold = 0
+        evicted = 0
         for model, pools in cases:
             monkeypatch.setattr(roc.solver, "CUT_POOL", default)
             expected = solve_canonical_both(model)[0]
             for pool in pools:
                 monkeypatch.setattr(roc.solver, "CUT_POOL", pool)
                 evictions.clear()
+                drops.clear()
                 caplog.clear()
                 with caplog.at_level("DEBUG", logger="roc"):
                     ref, cut = solve_canonical_both(model)
@@ -580,9 +560,38 @@ class TestCuttingPlane:
                 assert rel_close(ref.objective, expected.objective, 1e-6), pool
                 lines = [r.getMessage() for r in caplog.records]
                 assert sum(int(re.search(r", (\d+) evicted, ", line)[1]) for line in lines) \
-                    == len(evictions) > 0
-                cold += sum(", cold start: an evicted cut was binding, " in line for line in lines)
-        assert drops and cold
+                    == len(evictions) == len(drops)
+                assert ref.iterations < roc.solver.MAX_ROUNDS > cut.iterations, pool
+                assert not any("an evicted cut was binding" in line for line in lines)
+                evicted += len(evictions)
+        assert evicted
+
+    def test_full_pool_keeps_binding_cuts(self, monkeypatch, caplog):
+        # x + y + max(x, y) <= 2 is met at x = y = 2/3 by the cuts of z = e1
+        # and z = e2, which both bind there: a pool of one keeps both, since
+        # evicting the older one would let the loop alternate between them
+        src = """var x >= 0 <= 1; var y >= 0 <= 1;
+            max: x + y;
+            c: x + y <= 2 uncertain(on=[x, y], Z=ball(p=1, r=1, dim=2));"""
+        monkeypatch.setattr(roc.solver, "CUT_POOL", 1)
+        with caplog.at_level("DEBUG", logger="roc"):
+            sol = roc.cutting_plane_solve(full_pipeline(src)[2])
+        assert sol.status == "optimal"
+        assert abs(sol.objective + 4 / 3) <= 1e-12
+        lines = [r.getMessage() for r in caplog.records]
+        assert [re.search(r"(\d+) cuts added, (\d+) evicted", line).groups() for line in lines] \
+            == [("1", "0"), ("1", "0"), ("0", "0")]
+
+    @pytest.mark.parametrize("n, m, seed, r, feas_tol", [(20, 10, 1, 0.5, 1e-10),
+                                                         (30, 15, 2, 2.0, roc.solver.FEAS_TOL)])
+    def test_long_loops_converge(self, n, m, seed, r, feas_tol):
+        # long loops whose pools fill with binding cuts: evicting one of them
+        # lets the next round re-add it, and the loop cycles to the round limit
+        _, _, post, _, det = full_pipeline(dense_ball_text(n, m, "2", seed, r=r, mixed=True))
+        ref = roc.solve_deterministic(det, feas_tol=feas_tol)
+        cut = roc.cutting_plane_solve(post, feas_tol=feas_tol)
+        assert ref.status == cut.status == "optimal"
+        assert rel_close(ref.objective, cut.objective, 1e-6)
 
     def test_warm_round_factorizes_once(self, monkeypatch):
         # a warm round appends its cuts to the kept tableau in place; the one
