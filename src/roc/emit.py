@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .canonicalize import CanonicalModel
-from .errors import LoweringError, ModelError
+from .errors import DimensionError, LoweringError, ModelError
 from .model import (INF, Constraint, Intersection, LdrAssignment, LinExpr,
                     MinkowskiSum, Model, NormBall, NormTerm, Polyhedral,
                     RhsUncertainty, UncertainBlock, UncertaintySet, VariableDecl)
@@ -32,18 +32,24 @@ def _num(x: float) -> str:
     return f"{x + 0.0:.17g}"  # +0.0 drops negative zero
 
 
-def _expr_text(expr: LinExpr, head: bool = True) -> str:
-    parts = []
-    for v, c in expr.terms:
-        sign = "+" if c >= 0 else "-"
-        parts.append(f"{sign}{_num(abs(c))} {v}")
+class _Signed(dict):
+    """Signed LP text of each coefficient, formatted on its first use.
+
+    One per emit_lp call: most coefficients repeat (the +-1 of sign rows,
+    two-decimal data), and a cache kept between calls would only help a
+    process that emits the same models again."""
+
+    def __missing__(self, c: float) -> str:
+        text = self[c] = f"{'+' if c >= 0 else '-'}{_num(abs(c))}"
+        return text
+
+
+def _expr_text(expr: LinExpr, signed: _Signed) -> str:
+    parts = [f"{signed[c]} {v}" for v, c in expr.terms]
     if expr.constant != 0.0 or not parts:
-        sign = "+" if expr.constant >= 0 else "-"
-        parts.append(f"{sign}{_num(abs(expr.constant))}")
+        parts.append(signed[expr.constant])
     text = " ".join(parts)
-    if head and text.startswith("+"):
-        text = text[1:]
-    return text
+    return text[1:] if text.startswith("+") else text
 
 
 def emit_lp(model: DeterministicModel, allow_soc_comment: bool = False) -> str:
@@ -57,14 +63,15 @@ def emit_lp(model: DeterministicModel, allow_soc_comment: bool = False) -> str:
             f"cone row for {model.soc_rows[0].t} cannot be written in LP format "
             "(pass allow_soc_comment to emit it as a comment)")
 
+    signed = _Signed()
     lines = ["Minimize"]
-    obj = _expr_text(model.objective) if not model.objective.is_zero() else "0"
+    obj = _expr_text(model.objective, signed) if not model.objective.is_zero() else "0"
     lines.append(f" obj: {obj}")
     lines.append("Subject To")
     for row in model.linear_rows:
-        lines.append(f" {row.id}: {_expr_text(row.lhs)} {row.sense} {_num(row.rhs)}")
+        lines.append(f" {row.id}: {_expr_text(row.lhs, signed)} {row.sense} {_num(row.rhs)}")
     for soc in model.soc_rows:
-        args = " , ".join(_expr_text(e) for e in soc.arg)
+        args = " , ".join(_expr_text(e, signed) for e in soc.arg)
         lines.append(f"\\ soc: {soc.t} >= || {args} ||_{_num(soc.q)}")
     if model.vars:
         lines.append("Bounds")
@@ -105,8 +112,16 @@ def _expr_dict(expr: LinExpr) -> dict:
     return {"terms": {v: c for v, c in expr.terms}, "constant": expr.constant}
 
 
+def _check_finite(*values: float) -> None:
+    for c in values:  # as the parser requires of .roc text
+        if not math.isfinite(c):
+            raise DimensionError(f"coefficients and constants must be finite, found {c}")
+
+
 def _expr_from(d: dict) -> LinExpr:
-    return LinExpr.of(d.get("terms", {}), d.get("constant", 0.0))
+    expr = LinExpr.of(d.get("terms", {}), d.get("constant", 0.0))
+    _check_finite(*(c for _, c in expr.terms), expr.constant)
+    return expr
 
 
 def _var_dict(v: VariableDecl) -> dict:
@@ -176,6 +191,7 @@ def _row_dict(row: Constraint) -> dict:
 
 def _row_from(d: dict) -> Constraint:
     rub = d.get("rhs_uncertainty")
+    _check_finite(d["rhs"])
     return Constraint(
         id=d["id"], lhs=_expr_from(d["lhs"]), sense=d["sense"], rhs=d["rhs"],
         uncertainty=_block_from(d.get("uncertainty")),

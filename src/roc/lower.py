@@ -62,14 +62,14 @@ def _sign(w: LinExpr, bounds: dict[str, tuple[float, float]]) -> int:
 
 def _abs_rows(row_id: str, term_idx: int, t_id: str, i: int, w: LinExpr,
               sign: int) -> list[Constraint]:
-    # t >= w and t >= -w, stored as "<=" rows; a known sign keeps one half.
-    t = LinExpr.of({t_id: 1.0})
-    rows = []
-    if sign >= 0:
-        rows.append(Constraint(f"{row_id}_a{term_idx}_{i}p", w - t, LE, 0.0))
+    # w - t <= 0 and -w - t <= 0; a known sign keeps one half.  The sort puts
+    # t among w's names (`_` sorts between upper- and lower-case letters).
+    halves = [("p", w)] if sign >= 0 else []
     if sign <= 0:
-        rows.append(Constraint(f"{row_id}_a{term_idx}_{i}n", expr_negate(w) - t, LE, 0.0))
-    return rows
+        halves.append(("n", expr_negate(w)))
+    return [Constraint(f"{row_id}_a{term_idx}_{i}{half}",
+                       LinExpr(tuple(sorted(e.terms + ((t_id, -1.0),))), e.constant), LE, 0.0)
+            for half, e in halves]
 
 
 def lower_norms(model: RcModel) -> DeterministicModel:

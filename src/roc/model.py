@@ -77,10 +77,10 @@ class LinExpr:
     def evaluate(self, values: dict[str, float]) -> float:
         return self.constant + sum(c * values[v] for v, c in self.terms)
 
-    def scaled(self, k: float) -> "LinExpr":
-        return LinExpr.of({v: k * c for v, c in self.terms}, k * self.constant)
-
     def drop_constant(self) -> "LinExpr":
+        c = self.constant
+        if type(c) is float and c == 0.0 and math.copysign(1.0, c) == 1.0:
+            return self  # not for -0.0 (or 0), which the dumps would show as such
         return LinExpr(self.terms, 0.0)
 
     def __add__(self, other: "LinExpr") -> "LinExpr":
@@ -312,8 +312,12 @@ class UncertainBlock:
         """P^T x as one linear expression per uncertainty coordinate."""
         order = sorted(range(len(self.on)), key=self.on.__getitem__)  # once per block
         names = [self.on[i] for i in order]
-        return tuple(LinExpr(tuple((v, c) for v, c in zip(names, column) if c != 0.0))
-                     for column in self.P[order].T.tolist())
+        PT = self.P[order].T
+        coords, rows = np.nonzero(PT)  # coordinate by coordinate, in name order
+        terms: list[list[tuple[str, float]]] = [[] for _ in range(len(PT))]
+        for k, i, c in zip(coords.tolist(), rows.tolist(), PT[coords, rows].tolist()):
+            terms[k].append((names[i], c))
+        return tuple(LinExpr(tuple(t)) for t in terms)
 
     def __eq__(self, other):
         return (isinstance(other, UncertainBlock)

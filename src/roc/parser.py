@@ -130,6 +130,10 @@ def _tokenize(source: str) -> list[Token]:
     return tokens
 
 
+def _what(key: str | None) -> str:
+    return "constant" if key is None else f"coefficient of {key!r}"
+
+
 _START = Token("eof", "", 0)  # errors about the whole input point at 1:1
 
 
@@ -158,12 +162,14 @@ class _Parser:
 
     def split(self) -> Token:
         """Replace the compound token at pos by the element tokens of its span."""
-        tok = self.tokens[self.pos]
-        self.tokens[self.pos:self.pos + 1] = [
-            Token(m.lastgroup, m.group(), m.start())
-            for m in _lexer(False).finditer(self.source, tok.offset, tok.offset + len(tok.text))
-            if m.lastgroup != "skip"]
+        self.tokens[self.pos:self.pos + 1] = self.elements(self.tokens[self.pos])
         return self.tokens[self.pos]
+
+    def elements(self, tok: Token) -> list[Token]:
+        """The tokens that element-by-element lexing gives for the span of `tok`."""
+        return [Token(m.lastgroup, m.group(), m.start())
+                for m in _lexer(False).finditer(self.source, tok.offset, tok.offset + len(tok.text))
+                if m.lastgroup != "skip"]
 
     def fail(self, tok: Token, message: str, kind: str = SYNTAX):
         raise ParseError(_span(self.source, tok.offset, max(len(tok.text), 1)), kind, message)
@@ -212,37 +218,70 @@ class _Parser:
 
     # ----------------------------------------------------------- components
 
-    def linexpr(self) -> LinExpr:
-        """Sum of signed terms, added into one dict in source order."""
+    def linexpr(self, left: LinExpr | None = None, check: bool = False) -> LinExpr:
+        """Sum of signed terms, added into one dict in source order.  Given
+        the `left` side of a row, the sum is its right side, and the result
+        is left minus right.
+
+        Every coefficient and constant of the result must be finite.  If one
+        is not, the sum is read again element by element with `check`, which
+        fails at the first literal that is not finite, else at the term whose
+        addition overflows, else (only left minus right overflows) at the
+        last term of that variable or of the constant."""
+        start = self.pos
         coeffs: dict[str, float] = {}
         constant = 0.0
+        last: dict[str | None, Token] = {}  # with check: the last term of each key
         first = True  # the first term's sign may be left out
         while True:
             # a run of terms is read whole where the sum can go on with it:
             # opening with its own sign, or at the start with its number
-            if self.terms(coeffs) or first and self.terms(coeffs, 1.0):
+            if not check and (self.terms(coeffs) or first and self.terms(coeffs, 1.0)):
                 first = False
                 continue
             sign = 1.0
             if self.peek().text in ("+", "-"):
                 sign = -1.0 if self.next().text == "-" else 1.0
             elif not first:
-                return LinExpr.of(coeffs, constant)
+                break
             first = False
-            if self.terms(coeffs, sign):  # or after a sign, with its number
+            if not check and self.terms(coeffs, sign):  # or after a sign, with its number
                 continue
-            tok = self.next()
+            tok = end = self.next()
             if tok.kind == "number":
                 coeff = sign * float(tok.text)
+                if check and not math.isfinite(coeff):
+                    self.fail(tok, f"coefficients and constants must be finite, found {tok.text!r}",
+                              DIMENSION)
                 if self.accept("*"):
-                    var = self.ident("a variable name").text
-                    coeffs[var] = coeffs.get(var, 0.0) + coeff
+                    end = self.ident("a variable name")
+                    key = end.text
+                    coeffs[key] = value = coeffs.get(key, 0.0) + coeff
                 else:
-                    constant += coeff
+                    key = None
+                    constant = value = constant + coeff
             elif tok.kind == "ident" and tok.text not in KEYWORDS:
-                coeffs[tok.text] = coeffs.get(tok.text, 0.0) + sign
+                key = tok.text
+                coeffs[key] = value = coeffs.get(key, 0.0) + sign
             else:
                 self.fail(tok, f"expected a term, found {tok.text or 'end of input'!r}")
+            if check:
+                last[key] = Token("term", self.source[tok.offset:end.offset + len(end.text)],
+                                  tok.offset)
+                if not math.isfinite(value):
+                    self.fail(last[key], f"the {_what(key)} overflows at this term", DIMENSION)
+        expr = LinExpr.of(coeffs, constant)
+        if left is not None:
+            expr = expr_add(left, expr_negate(expr))
+        values = [c for _, c in expr.terms] + [expr.constant]
+        # a finite sum means finite values; an overflowing sum alone proves nothing
+        if math.isfinite(sum(values)) or all(map(math.isfinite, values)):
+            return expr
+        if not check:
+            self.pos = start
+            return self.linexpr(left, check=True)
+        key = next((v for v, c in expr.terms if not math.isfinite(c)), None)
+        self.fail(last[key], f"the {_what(key)} overflows as the right side moves left", DIMENSION)
 
     def terms(self, coeffs: dict[str, float], sign: float | None = None) -> bool:
         """Add the `terms` token at pos into `coeffs`, if the sum goes on with it.
@@ -295,20 +334,21 @@ class _Parser:
             self.fail(tok._replace(text="["), "ragged matrix rows", DIMENSION)
         return out
 
-    def ident_list(self) -> list[Token]:
+    def ident_list(self) -> tuple[Token, list[str]]:
+        """The names of a `[`...`]` list, and a token spanning the list: the
+        tokens of the names are made only to report one (`elements()`)."""
         tok = self.tokens[self.pos]
         if tok.kind == "idents":
-            names = [Token("ident", m.group(), tok.offset + m.start())
-                     for m in _NAME.finditer(tok.text)]
-            if KEYWORDS.isdisjoint([name.text for name in names]):
+            names = _NAME.findall(tok.text)
+            if KEYWORDS.isdisjoint(names):
                 self.pos += 1
-                return names
-        self.expect("[")
-        out = [self.ident("a variable name")]
+                return tok, names
+        start = self.expect("[")
+        names = [self.ident("a variable name").text]
         while self.accept(","):
-            out.append(self.ident("a variable name"))
-        self.expect("]")
-        return out
+            names.append(self.ident("a variable name").text)
+        end = self.expect("]")
+        return Token("idents", self.source[start.offset:end.offset + 1], start.offset), names
 
     def uncertainty_set(self) -> UncertaintySet:
         tok = self.next()
@@ -451,7 +491,7 @@ class _Parser:
                     self.fail(sense_tok, f"expected <=, >= or =, found {sense_tok.text!r}")
                 # everything moves to the left (lhs - rhs <= 0 form); the row
                 # folds the constant back into its rhs
-                lhs = expr_add(lhs, expr_negate(self.linexpr()))
+                lhs = self.linexpr(left=lhs)
                 auto_declare(lhs)
                 block = None
                 rub = None
@@ -485,14 +525,14 @@ class _Parser:
         if sense_tok is not None and sense_tok.text == EQ:
             self.fail(kw, "robust equalities are not representable")
         self.expect("(")
-        on_tokens = None
+        on_list = None
         P = None
         uset = None
         while True:
             key = self.next()
             if key.text == "on":
                 self.expect("=")
-                on_tokens = self.ident_list()
+                on_list = self.ident_list()
             elif key.text == "P":
                 self.expect("=")
                 P = self.matrix()
@@ -507,18 +547,18 @@ class _Parser:
         if uset is None:
             self.fail(kw, "uncertain(...) needs Z=<set>")
 
-        if on_tokens is None:
+        if on_list is None:
             on = [v for v, _ in lhs.terms if decls[v].stage == HERE_AND_NOW]
             if not on:
                 self.fail(kw, "no here-and-now coefficients to perturb")
         else:
-            on = []
-            for tok in on_tokens:
-                if tok.text not in decls:
-                    self.fail(tok, f"unknown variable {tok.text!r}", UNKNOWN_SYMBOL)
-                if decls[tok.text].stage != HERE_AND_NOW:
-                    self.fail(tok, "recourse coefficients must be certain (fixed recourse)")
-                on.append(tok.text)
+            span, on = on_list
+            if any(v not in decls or decls[v].stage != HERE_AND_NOW for v in on):
+                for tok in self.elements(span):  # the first name that fails
+                    if tok.kind == "ident" and tok.text not in decls:
+                        self.fail(tok, f"unknown variable {tok.text!r}", UNKNOWN_SYMBOL)
+                    if tok.kind == "ident" and decls[tok.text].stage != HERE_AND_NOW:
+                        self.fail(tok, "recourse coefficients must be certain (fixed recourse)")
 
         if P is None:
             if isinstance(uset, _PendingBall):

@@ -180,7 +180,10 @@ def stress_points(uset: UncertaintySet) -> np.ndarray:
     if isinstance(uset, NormBall):
         axes = np.vstack([np.eye(L), -np.eye(L)]) * uset.radius
         if uset.p == INF and L <= 10:
-            corners = uset.radius * np.array(list(itertools.product((-1.0, 1.0), repeat=L)))
+            # row k holds the bits of k, first coordinate highest: the order
+            # of itertools.product((-1.0, 1.0), repeat=L)
+            bits = (np.arange(2 ** L)[:, None] >> np.arange(L - 1, -1, -1)) & 1
+            corners = uset.radius * (bits * 2.0 - 1.0)
             return np.vstack([axes, corners])
         return axes
     if isinstance(uset, Polyhedral):

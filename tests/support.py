@@ -29,6 +29,11 @@ def rel_close(a: float, b: float, tol: float = 1e-6) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
+def scaled(expr: roc.LinExpr, k: float) -> roc.LinExpr:
+    """k times `expr`, terms and constant."""
+    return roc.LinExpr.of({v: k * c for v, c in expr.terms}, k * expr.constant)
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------

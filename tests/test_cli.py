@@ -164,6 +164,31 @@ class TestExitCodes:
             assert capsys.readouterr().err == (
                 f"{path}:1:{column}: dimension: set data must be finite, found {literal!r}\n")
 
+    # regressions: a non-finite coefficient or constant of a row or objective
+    # solved to a wrong exit-0 pass (1e400*x, an overflowing sum), exited 3
+    # (an infinite rhs), exited 4 with NaN in the report (an infinite
+    # objective coefficient) or exited 1 unlocated (the same on an adaptive
+    # variable, where the decision rule met it as set data)
+    @pytest.mark.parametrize("text, column, message", [
+        ("var x >= 0 <= 1; min: x; c1: 1e400*x >= 0.5;", 30,
+         "coefficients and constants must be finite, found '1e400'"),
+        ("var x >= 0 <= 1; min: x; c1: 1e308*x + 1e308*x >= 0.5;", 40,
+         "the coefficient of 'x' overflows at this term"),
+        ("var x >= 0 <= 1; min: x; c1: x >= 1e400;", 35,
+         "coefficients and constants must be finite, found '1e400'"),
+        ("var x >= 0 <= 1; min: 1e400*x; c1: x >= 0.5;", 23,
+         "coefficients and constants must be finite, found '1e400'"),
+        ("var x >= 0 <= 1; adaptive var y >= 0 <= 1 rule=linear; min: x + 1e400*y; "
+         "c1: x + y >= 0.5 uncertain(on=[x], Z=ball(p=2, r=0.1));", 65,
+         "coefficients and constants must be finite, found '1e400'"),
+    ], ids=["literal", "overflowing-sum", "rhs", "objective", "adaptive-objective"])
+    def test_non_finite_expression_exit_2(self, capsys, tmp_path, text, column, message):
+        path = tmp_path / "m.roc"
+        path.write_text(text + "\n")
+        for command in ("check", "pipeline"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err == f"{path}:1:{column}: dimension: {message}\n"
+
     def test_infeasible_exit_3(self, capsys):
         code, out = run_cli(capsys, "solve", DIET)
         assert code == 3

@@ -1,10 +1,13 @@
 """Emitters: golden LP/JSON files, determinism, round trips."""
 import json
+import math
+import random
 
 import pytest
 
 import roc
 from roc import LinExpr
+from roc.lower import NormRow
 
 from support import FIXTURES, fixture_text, full_pipeline
 
@@ -60,6 +63,42 @@ class TestEmitLp:
         assert " -2 <= d <= 3" in text
 
 
+    def test_numerals_match_one_format_per_occurrence(self):
+        # oracle: every coefficient formatted where it occurs, as emit_lp did
+        # before it kept one text per value
+        def num(x):
+            return f"{x + 0.0:.17g}"
+
+        def text(expr):
+            parts = [f"{'+' if c >= 0 else '-'}{num(abs(c))} {v}" for v, c in expr.terms]
+            if expr.constant != 0.0 or not parts:
+                parts.append(f"{'+' if expr.constant >= 0 else '-'}{num(abs(expr.constant))}")
+            return " ".join(parts).removeprefix("+")
+
+        base = [0.1, 1 / 3, 2.675, 1.0, 0.5, 1e-300, 1e300, 123456.789]
+        values = base + [math.nextafter(v, math.inf) for v in base]  # the 17th digit differs
+        values += [-v for v in values]
+        rng = random.Random(18)
+        rows = []
+        for i in range(60):
+            names = rng.sample(["X1", "_t1", "a", "b", "x1", "y"], rng.randint(1, 6))
+            terms = tuple(sorted((v, rng.choice(values)) for v in names))
+            if i % 10 == 0:  # zero terms, which only a direct LinExpr keeps
+                terms = tuple(sorted(dict(terms, zp=0.0, zn=-0.0).items()))
+            rows.append(roc.Constraint(f"r{i}", LinExpr(terms), rng.choice(["<=", "="]),
+                                       rng.choice(values + [0.0, -0.0])))
+        objective = LinExpr((("a", values[1]), ("b", -values[1])), rng.choice(values))
+        soc = NormRow(2.0, "_t1", (LinExpr((("a", -values[9]),)), LinExpr((), -0.0)))
+        det = roc.DeterministicModel(vars=(), objective=objective, linear_rows=tuple(rows),
+                                     soc_rows=(soc,))
+        expected = "".join([
+            f"Minimize\n obj: {text(objective)}\nSubject To\n",
+            *(f" {r.id}: {text(r.lhs)} {r.sense} {num(r.rhs)}\n" for r in rows),
+            f"\\ soc: _t1 >= || {' , '.join(text(e) for e in soc.arg)} ||_2\nEnd\n"])
+        assert roc.emit_lp(det, allow_soc_comment=True) == expected
+        assert "-1 " in expected and "+1 " in expected and "+0 zn" in expected
+
+
 class TestEmitJson:
     def test_model_round_trip(self):
         model = roc.parse_model(fixture_text("cover2.roc"))
@@ -110,6 +149,16 @@ class TestEmitJson:
         dump = roc.emit_json(model)
         assert roc.model_from_json(dump) == model
         for finite, infinite in (('"r": 1.0', '"r": Infinity'), ("3.0", "Infinity")):
+            assert dump.count(finite) == 1
+            with pytest.raises(roc.DimensionError, match="must be finite"):
+                roc.model_from_json(dump.replace(finite, infinite))
+
+    def test_from_json_rejects_non_finite_expressions(self):
+        # as the parser rejects them in .roc text; variable bounds may be infinite
+        dump = roc.emit_json(roc.parse_model("var x >= 0; min: 3*x + 2; c: x + y >= 1;"))
+        assert roc.model_from_json(dump).vars[0].upper == math.inf
+        for finite, infinite in (('"x": 3.0', '"x": Infinity'), ('"constant": 2.0', '"constant": NaN'),
+                                 ('"y": 1.0', '"y": -Infinity'), ('"rhs": 1.0', '"rhs": Infinity')):
             assert dump.count(finite) == 1
             with pytest.raises(roc.DimensionError, match="must be finite"):
                 roc.model_from_json(dump.replace(finite, infinite))

@@ -7,7 +7,8 @@ import pytest
 import roc
 from roc import LinExpr
 
-from support import dense_ball_text, fixture_text, full_pipeline, rel_close, scipy_solve_lowered
+from support import (dense_ball_text, fixture_text, full_pipeline, rel_close, scaled,
+                     scipy_solve_lowered)
 
 INF = math.inf
 
@@ -111,7 +112,7 @@ class TestSignRule:
         if sign:
             assert sign_row_ids(det) == []
             assert len(det.vars) == len(bounds)
-            assert c.lhs == w.scaled(0.5 * sign).drop_constant()
+            assert c.lhs == scaled(w, 0.5 * sign).drop_constant()
             assert c.rhs == 1.0 - 0.5 * sign * w.constant
         else:
             assert sign_row_ids(det) == ["c_a1_1p", "c_a1_1n"]
@@ -189,7 +190,7 @@ def sequential_main_rows(model: roc.RcModel) -> list[roc.Constraint]:
             for i, w in enumerate(term.arg, start=1):
                 sign = roc.lower._sign(w, bounds)
                 if sign:
-                    lhs = lhs + w.scaled(sign * term.weight)
+                    lhs = lhs + scaled(w, sign * term.weight)
                 else:
                     lhs = lhs + LinExpr.of({f"_t{counter}_{i}": term.weight})
         rows.append(roc.Constraint(row.id, lhs, row.sense, row.rhs))
@@ -251,6 +252,29 @@ class TestRowBuiltOnce:
                              {v: POS for v in names})
         assert calls == []
         assert det.linear_rows[0].lhs == LinExpr.of({v: 0.5 * (1.0 + i) for i, v in enumerate(names)})
+
+
+    def test_sign_rows_equal_the_differences_they_replace(self):
+        # oracle: w - t and -w - t as LinExpr sums; `_t...` sorts between
+        # upper- and lower-case names, and among other `_` names
+        def summed(w, t_id, sign):
+            t = LinExpr.of({t_id: 1.0})
+            halves = [("p", w - t)] if sign >= 0 else []
+            halves += [("n", roc.expr_negate(w) - t)] if sign <= 0 else []
+            return [roc.Constraint(f"c_a2_7{half}", lhs, "<=", 0.0) for half, lhs in halves]
+
+        def exact(rows):
+            return repr([(r.id, r.lhs.terms, r.lhs.constant, r.sense, r.rhs) for r in rows])
+
+        rng = np.random.default_rng(18)
+        pool = ["A", "X1", "Z9", "_s1", "_t3_2", "_u1_1", "_w1_2", "a1", "x1", "x10", "é"]
+        for _ in range(200):
+            names = rng.choice(pool, int(rng.integers(1, len(pool))), replace=False)
+            coeffs = {str(v): float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 9.0)) for v in names}
+            w = LinExpr.of(coeffs, float(rng.choice([0.0, -0.0, 2.5, -1.25])))
+            for sign in (-1, 0, 1):
+                built = roc.lower._abs_rows("c", 2, "_t3_1", 7, w, sign)
+                assert exact(built) == exact(summed(w, "_t3_1", sign))
 
 
 class TestLowering:

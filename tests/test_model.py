@@ -7,6 +7,8 @@ import pytest
 import roc
 from roc import LinExpr, expr_add, expr_negate
 
+from support import scaled
+
 
 def lx(coeffs=None, const=0.0):
     return LinExpr.of(coeffs or {}, const)
@@ -77,7 +79,7 @@ class TestCanonicalForm:
         assert e.evaluate({"x": 3.0, "y": 1.0}) == 10.0
 
     def test_scaled(self):
-        assert lx({"x": 2.0}, 1.0).scaled(-2.0) == lx({"x": -4.0}, -2.0)
+        assert scaled(lx({"x": 2.0}, 1.0), -2.0) == lx({"x": -4.0}, -2.0)
 
 
 class TestVariableDecl:
@@ -150,6 +152,60 @@ class TestBlocksAndConstraints:
         expected = tuple(lx(dict(zip(on, column))) for column in block.P.T.tolist())
         assert block.arg_exprs() == expected
         assert all(0 < len(arg.terms) < 30 for arg in expected)
+
+    @pytest.mark.parametrize("kind", ["identity", "dense", "sparse"])
+    def test_arg_exprs_read_the_nonzeros_of_every_column(self, kind):
+        # oracle: the full scan of P^T, entry by entry, that arg_exprs replaced
+        def scanned(block):
+            order = sorted(range(len(block.on)), key=block.on.__getitem__)
+            names = [block.on[i] for i in order]
+            return tuple(tuple((v, c) for v, c in zip(names, column) if c != 0.0)
+                         for column in block.P[order].T.tolist())
+
+        rng = np.random.default_rng(18)
+        pool = ["X1", "Z9", "_w1_2", "a1", "x1", "x10", "x2", "é"]
+        for _ in range(40):
+            n = int(rng.integers(1, 25))
+            on = tuple(str(v) for v in rng.permutation(pool + [f"v{i}" for i in range(n)])[:n])
+            L = n if kind == "identity" else int(rng.integers(1, 9))
+            if kind == "identity":
+                P = np.eye(n)
+            else:
+                P = rng.choice([-2.5, -1.0, 0.3, 1.0, 7.25], (n, L)) * rng.uniform(0.5, 2.0, (n, L))
+                if kind == "sparse":
+                    P *= rng.choice([0.0, -0.0, 1.0], (n, L), p=[0.4, 0.3, 0.3])
+            block = roc.UncertainBlock(on, P, roc.NormBall(2.0, 1.0, L))
+            args = block.arg_exprs()
+            assert tuple(arg.terms for arg in args) == scanned(block)
+            assert all(type(c) is float for arg in args for _, c in arg.terms)
+            assert all(arg.constant == 0.0 for arg in args)
+
+    def test_drop_constant_keeps_no_negative_zero(self):
+        e = lx({"x": 2.0})
+        assert e.drop_constant() is e
+        for constant in (-0.0, 0, 3.5):
+            dropped = LinExpr(e.terms, constant).drop_constant()
+            assert dropped == e and repr(dropped.constant) == "0.0"
+
+    def test_no_negative_zero_reaches_the_dumps(self):
+        # lhs constants of -0.0 (and 0 and +0.0) on every kind of row, through
+        # every stage dump
+        rng = np.random.default_rng(18)
+        ball = roc.NormBall(2.0, 0.5, 2)
+        rows = []
+        for i in range(30):
+            terms = (("x", float(rng.uniform(-3, 3))), ("y", float(rng.uniform(-3, 3))))
+            constant = [-0.0, 0.0, 0, -1.5][i % 4]
+            block = roc.UncertainBlock(("x", "y"), np.eye(2), ball) if i % 3 == 0 else None
+            rows.append(roc.Constraint(f"r{i}", LinExpr(terms, constant), "<=",
+                                       [0.0, -0.0, 4.0][i % 3], uncertainty=block))
+        model = roc.Model((roc.VariableDecl("x", lower=0.0, upper=1.0),
+                           roc.VariableDecl("y", lower=0.0, upper=2.0)),
+                          "max", LinExpr((("x", 1.0),)), tuple(rows))
+        pre = roc.canonicalize(model)
+        rcm = roc.robustify_model(roc.apply_ldr(pre))
+        for stage in (model, pre, rcm, roc.lower_norms(rcm)):
+            assert "-0.0" not in roc.emit_json(stage)
 
     def test_robust_equality_rejected(self):
         ball = roc.NormBall(2.0, 1.0, 1)

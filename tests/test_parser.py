@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import roc
+from roc import LinExpr
 from roc.cli import main
 from roc.parser import ParseError, _lexer, _Parser, _tokenize
 
@@ -169,6 +170,33 @@ DIAGNOSTICS = [
      "1:46: dimension: ragged matrix rows", 1),
     ("var x; min: x; c: x <= 1 uncertain(on=[[1]], Z=ball(p=2, r=1));",
      "1:40: syntax: expected a variable name, found '['", 1),
+    # an `on` list is checked after its clause is read, at its first name that
+    # is unknown or wait-and-see, whether it lexed as one token or name by name
+    ("var x; adaptive var y rule=linear; min: x; c: x + y <= 1 uncertain(on=[x, y], Z=ball(p=2, r=1));",
+     "1:75: syntax: recourse coefficients must be certain (fixed recourse)", 1),
+    ("var x; adaptive var y rule=linear; min: x; c: x + y <= 1 "
+     "uncertain(on=[x, # y is adaptive\n  y], Z=ball(p=2, r=1));",
+     "2:3: syntax: recourse coefficients must be certain (fixed recourse)", 1),
+    ("var x; adaptive var y rule=linear; min: x; c: x + y <= 1 uncertain(on=[y, zz], Z=ball(p=2, r=1));",
+     "1:72: syntax: recourse coefficients must be certain (fixed recourse)", 1),
+    ("var x; adaptive var y rule=linear; min: x; c: x + y <= 1 uncertain(on=[zz, y], Z=ball(p=2, r=1));",
+     "1:72: unknown-symbol: unknown variable 'zz'", 2),
+    ("var x; min: x; c: x <= 1 uncertain(on=[x, # unknown\n zz], Z=ball(p=2, r=1));",
+     "2:2: unknown-symbol: unknown variable 'zz'", 2),
+    ("var x; min: x; c: x <= 1 uncertain(on=[x, é], Z=ball(p=2, r=1));",
+     "1:43: unknown-symbol: unknown variable 'é'", 1),
+    ("var x; min: x; c: x <= 1 uncertain(on=[x,\tinf], Z=ball(p=2, r=1));",
+     "1:43: syntax: keyword 'inf' cannot be used as a variable name", 3),
+    ("var x; min: x; c: x <= 1 uncertain(on=[x, x], Z=ball(p=2, r=1));",
+     "1:26: dimension: uncertain block: duplicate variables in on=('x', 'x')", 9),
+    ("var x; min: x; c: x <= 1 uncertain(on=[x, # twice\n x], Z=ball(p=2, r=1));",
+     "1:26: dimension: uncertain block: duplicate variables in on=('x', 'x')", 9),
+    ("var x; min: x; c: x <= 1 uncertain(on=[zz], Q=1);",
+     "1:45: syntax: unknown uncertain(...) argument 'Q'", 1),
+    ("var x; min: x; c: x <= 1 uncertain(on=[zz]);",
+     "1:26: syntax: uncertain(...) needs Z=<set>", 9),
+    ("var x; min: x; c: x <= 1 uncertain(on=[zz], Z=ball(p=2, r=1, dim=3));",
+     "1:40: unknown-symbol: unknown variable 'zz'", 2),
 ]
 
 
@@ -342,6 +370,49 @@ def test_compounds_read_like_elements(monkeypatch):
     fast = [parse_outcome(source) for source in sources]
     monkeypatch.setattr(roc.parser, "_TOKEN", _lexer(False))
     assert [parse_outcome(source) for source in sources] == fast
+
+
+FINITE = "coefficients and constants must be finite, found "
+
+# (source, the literal or term the error points at, which occurs once, message)
+NON_FINITE_EXPRESSIONS = [
+    ("min: 2*x + 1e400*y;", "1e400", FINITE + "'1e400'"),
+    ("min: 2*x # a comment splits the run\n + 1e400*y;", "1e400", FINITE + "'1e400'"),
+    ("min: x; c: -1e400*x <= 1;", "1e400", FINITE + "'1e400'"),
+    ("min: x; c: 2*x - 1e400 <= 1;", "1e400", FINITE + "'1e400'"),
+    ("min: x; c: 2*x <= 1e400 - 3*y;", "1e400", FINITE + "'1e400'"),
+    ("min: 1e308*x + 2*y - 1e308*x - 1.0e308*x - 1.00e308*x;", "1.00e308*x",
+     "the coefficient of 'x' overflows at this term"),
+    ("min: x; c: 2*x + 1e308*y\n + 1.5e308*y <= 1;", "1.5e308*y",
+     "the coefficient of 'y' overflows at this term"),
+    ("min: x; c: 2*x + 1e308 + 1.5e308 >= 0;", "1.5e308", "the constant overflows at this term"),
+    ("min: x; c: 1e308*x >= 2*y - 1.5e308*x;", "1.5e308*x",
+     "the coefficient of 'x' overflows as the right side moves left"),
+    ("min: x; c: 1e308*x >= -1.5e308*x + 5*x - 5.0*x;", "5.0*x",
+     "the coefficient of 'x' overflows as the right side moves left"),
+    ("min: x; c: x + 1e308 <= -1.5e308;", "1.5e308",
+     "the constant overflows as the right side moves left"),
+]
+
+
+@pytest.mark.parametrize("source, at, message", NON_FINITE_EXPRESSIONS)
+def test_non_finite_expression_data_located(monkeypatch, source, at, message):
+    offset = source.index(at)
+    line, column = source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+    for lexer in (_lexer(True), _lexer(False)):  # compound runs, then term by term
+        monkeypatch.setattr(roc.parser, "_TOKEN", lexer)
+        with pytest.raises(ParseError) as exc:
+            roc.parse_model(source)
+        assert str(exc.value) == f"{line}:{column}: dimension: {message}"
+        assert exc.value.span.length == len(at)
+
+
+def test_large_finite_expressions_and_infinite_bounds_parse():
+    # a sum over different variables may overflow; only a coefficient may not
+    model = roc.parse_model("var x <= 1e400; min: 1e308*x + 1e308*y - 1e308*z; c: x >= -1e308 + y;")
+    assert model.objective == LinExpr.of({"x": 1e308, "y": 1e308, "z": -1e308})
+    assert model.vars[0].upper == math.inf
+    assert model.constraints[0].rhs == -1e308
 
 
 def test_attached_signs_after_spaces():

@@ -50,6 +50,13 @@ class TestSampling:
         assert len(stress_points(NormBall(INF, 1.0, 2))) == 4 + 4
         assert len(stress_points(NormBall(INF, 1.0, 12))) == 24
 
+    def test_corners_in_product_order(self):
+        # the corners follow the axes, in the order itertools.product gives
+        for L in range(1, 11):
+            corners = stress_points(NormBall(INF, 0.5, L))[2 * L:]
+            expected = 0.5 * np.array(list(itertools.product((-1.0, 1.0), repeat=L)))
+            assert corners.dtype == expected.dtype and np.array_equal(corners, expected)
+
     def test_zero_radius_all_zero(self):
         Z = sample_set(NormBall(2.0, 0.0, 3), n=16, seed=1)
         assert np.allclose(Z, 0.0)
