@@ -1,18 +1,18 @@
 """Reduction to the canonical uncertain form.
 
 A canonical model minimizes a certain objective subject to row-wise "<="
-constraints whose variable coefficients may carry an uncertain block.
-Maximization is negated, ">=" rows are flipped, certain equalities split,
-an uncertain (or adaptive) objective moves behind an epigraph variable and
-uncertain right-hand sides fold into the coefficient of a variable pinned
-to 1.
+constraints whose variable coefficients may carry an uncertain block, and
+certain "=" rows, which pass through whole.  Maximization is negated, ">="
+rows are flipped, an uncertain (or adaptive) objective moves behind an
+epigraph variable and uncertain right-hand sides fold into the coefficient
+of a variable pinned to 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .model import (EQ, GE, HERE_AND_NOW, LE, MAX, MIN, WAIT_AND_SEE,
+from .model import (GE, HERE_AND_NOW, LE, MAX, MIN, WAIT_AND_SEE,
                     Constraint, LdrAssignment, LinExpr, Model, RhsUncertainty,
                     UncertainBlock, VariableDecl, expr_negate)
 
@@ -20,9 +20,10 @@ EPIGRAPH_VAR = "_t"
 PINNED_VAR = "_one"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CanonicalModel:
-    """Minimization over "<=" rows of form (a + P z)^T x [+ d^T y] <= b."""
+    """Minimization over "<=" rows of form (a + P z)^T x [+ d^T y] <= b and
+    certain "=" rows a^T x = b (`Constraint` keeps uncertainty off "=" rows)."""
 
     vars: tuple[VariableDecl, ...]
     objective: LinExpr
@@ -33,7 +34,7 @@ class CanonicalModel:
         object.__setattr__(self, "vars", tuple(self.vars))
         object.__setattr__(self, "rows", tuple(self.rows))
         for row in self.rows:
-            if row.sense != LE:
+            if row.sense == GE:
                 raise ModelError(f"canonical row {row.id} has sense {row.sense!r}")
             if row.rhs_uncertainty is not None:
                 raise ModelError(f"canonical row {row.id} still carries rhs uncertainty")
@@ -51,13 +52,6 @@ class CanonicalModel:
             objective=self.objective,
             constraints=self.rows,
         )
-
-    def __eq__(self, other):
-        return (isinstance(other, CanonicalModel)
-                and self.vars == other.vars
-                and self.objective == other.objective
-                and self.rows == other.rows
-                and self.ldr == other.ldr)
 
 
 def _split_objective(model: Model) -> tuple[LinExpr, LinExpr]:
@@ -132,10 +126,6 @@ def canonicalize(model: Model | CanonicalModel) -> CanonicalModel:
         return pinned
 
     for row in model.constraints:
-        if row.sense == EQ:
-            rows.append(Constraint(f"{row.id}_le", row.lhs, LE, row.rhs))
-            rows.append(Constraint(f"{row.id}_ge", expr_negate(row.lhs), LE, -row.rhs))
-            continue
         if row.sense == GE:
             row = _flip_row(row)
         rub = row.rhs_uncertainty

@@ -31,7 +31,7 @@ class NormRow:
     arg: tuple[LinExpr, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DeterministicModel:
     """Fully deterministic model: linear rows plus explicit norm rows."""
 
@@ -39,13 +39,6 @@ class DeterministicModel:
     objective: LinExpr
     linear_rows: tuple[Constraint, ...]  # "<=" or "=" rows, no optional fields
     soc_rows: tuple[NormRow, ...] = ()
-
-    def __eq__(self, other):
-        return (isinstance(other, DeterministicModel)
-                and self.vars == other.vars
-                and self.objective == other.objective
-                and self.linear_rows == other.linear_rows
-                and self.soc_rows == other.soc_rows)
 
 
 def _sign(w: LinExpr, bounds: dict[str, tuple[float, float]]) -> int:

@@ -62,12 +62,6 @@ class LinExpr:
     def coeffs(self) -> dict[str, float]:
         return dict(self.terms)
 
-    def coeff(self, var: str) -> float:
-        for v, c in self.terms:
-            if v == var:
-                return c
-        return 0.0
-
     def vars(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.terms)
 
@@ -120,6 +114,8 @@ class VariableDecl:
     pinned_one: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "lower", self.lower + 0.0)  # drop -0.0
+        object.__setattr__(self, "upper", self.upper + 0.0)
         if self.stage not in (HERE_AND_NOW, WAIT_AND_SEE):
             raise ModelError(f"variable {self.id}: unknown stage {self.stage!r}")
         if not self.lower <= self.upper:
@@ -354,7 +350,7 @@ class NormTerm:
     arg: tuple[LinExpr, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Constraint:
     """Row lhs + sum of norm terms <sense> rhs, the one row type of every stage.
 
@@ -397,17 +393,6 @@ class Constraint:
     def is_certain(self) -> bool:
         return self.uncertainty is None and self.adaptive is None and self.rhs_uncertainty is None
 
-    def __eq__(self, other):
-        return (isinstance(other, Constraint)
-                and self.id == other.id
-                and self.lhs == other.lhs
-                and self.sense == other.sense
-                and self.rhs == other.rhs
-                and self.uncertainty == other.uncertainty
-                and self.adaptive == other.adaptive
-                and self.rhs_uncertainty == other.rhs_uncertainty
-                and self.norm_terms == other.norm_terms)
-
 
 @dataclass(frozen=True)
 class LdrAssignment:
@@ -429,7 +414,7 @@ class LdrAssignment:
         raise ModelError(f"no decision rule recorded for {y_id}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Model:
     """Parsed optimization model, prior to canonicalization."""
 
@@ -490,11 +475,3 @@ class Model:
                 raise ModelError(f"{where}: uncertain block perturbs unknown variable {v!r}")
             if decl.stage != HERE_AND_NOW:
                 raise ModelError(f"{where}: recourse coefficients must be certain (fixed recourse), got {v!r}")
-
-    def __eq__(self, other):
-        return (isinstance(other, Model)
-                and self.vars == other.vars
-                and self.objective_sense == other.objective_sense
-                and self.objective == other.objective
-                and self.constraints == other.constraints
-                and self.objective_uncertainty == other.objective_uncertainty)

@@ -620,8 +620,6 @@ class _Parser:
             here = {v: c for v, c in lhs.terms if decls[v].stage == HERE_AND_NOW}
             wait = {v: c for v, c in lhs.terms if decls[v].stage == WAIT_AND_SEE}
             adaptive = LinExpr.of(wait) if wait else None
-            if adaptive is not None and row_sense == EQ:
-                self.fail(name, f"row {name.text}: adaptive equalities are not representable")
             try:
                 rows.append(Constraint(
                     id=name.text,

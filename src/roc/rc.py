@@ -1,7 +1,8 @@
 """Robust-counterpart derivation via conjugate support functions.
 
 Each uncertain row (a + P z)^T x <= b, z in Z, becomes the deterministic row
-a^T x + d*(P^T x | Z) <= b.  The support-function conjugate d*(w | Z) is
+a^T x + d*(P^T x | Z) <= b; certain "<=" and "=" rows pass through as they
+are.  The support-function conjugate d*(w | Z) is
 evaluated symbolically per set kind:
 
   norm ball   ||z||_p <= rho    ->  rho * ||w||_q  with 1/p + 1/q = 1
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 from .canonicalize import CanonicalModel
 from .errors import ModelError, UnsupportedSetError
-from .model import (EQ, INF, LE, Constraint, Intersection, LinExpr,
+from .model import (EQ, GE, INF, LE, Constraint, Intersection, LinExpr,
                     MinkowskiSum, NormBall, NormTerm, Polyhedral,
                     UncertaintySet, VariableDecl, expr_add)
 
@@ -119,7 +120,7 @@ def support_conjugate(uset: UncertaintySet, arg: tuple[LinExpr, ...],
     raise UnsupportedSetError(f"no robust-counterpart rule for set kind {uset.kind!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RcModel:
     """Robust counterpart: certain rows, possibly with symbolic norm terms."""
 
@@ -127,21 +128,15 @@ class RcModel:
     objective: LinExpr
     rows: tuple[Constraint, ...]
 
-    def __eq__(self, other):
-        return (isinstance(other, RcModel)
-                and self.vars == other.vars
-                and self.objective == other.objective
-                and self.rows == other.rows)
-
 
 def robustify_row(row: Constraint, names: NameGen) -> tuple[Constraint, tuple[VariableDecl, ...], tuple[Constraint, ...]]:
-    """Robust counterpart of one canonical "<=" row.
+    """Robust counterpart of one canonical row: "<=", or "=" and certain.
 
     Returns the main row plus any auxiliary variables and equality rows.
     Certain rows pass through unchanged.
     """
-    if row.sense != LE:
-        raise ModelError(f"row {row.id}: robustification expects canonical '<=' rows")
+    if row.sense == GE:
+        raise ModelError(f"row {row.id}: robustification expects canonical '<=' or '=' rows")
     if row.adaptive is not None:
         raise ModelError(f"row {row.id}: adaptive rows must go through the decision-rule stage first")
     if row.uncertainty is None:

@@ -176,7 +176,7 @@ def sampled_cutting_plane(model: roc.CanonicalModel, n: int = 2000, seed: int = 
     master = []
     uncertain = []
     for row in model.rows:
-        master.append(roc.Constraint(row.id, row.lhs, "<=", row.rhs))
+        master.append(roc.Constraint(row.id, row.lhs, row.sense, row.rhs))
         if row.uncertainty is not None:
             uncertain.append(row)
             batches[row.id] = roc.sample_set(row.uncertainty.uset, n, seed)

@@ -1,10 +1,12 @@
-"""Canonicalization: sense flips, epigraph, rhs folding, idempotence."""
+"""Canonicalization: sense flips, epigraph, rhs folding, idempotence, "=" rows."""
 import numpy as np
+import pytest
 
 import roc
 from roc import LinExpr, canonicalize, parse_model
 
-from support import fixture_text, scipy_solve
+from support import (fixture_text, random_instance, rel_close, scipy_solve,
+                     solve_canonical_both)
 
 EX1 = fixture_text("ex1.roc")
 
@@ -43,22 +45,22 @@ class TestStructure:
             assert canonicalize(pre) == pre
 
     def test_row_count_formula(self):
-        # 2 "<=", 1 ">=", 1 certain "=", uncertain objective -> 2+1+2+1 rows
+        # 2 "<=", 1 ">=", 1 certain "=", uncertain objective -> 2+1+1+1 rows
         src = (
             "var x >= 0; var y >= 0;"
             "min: x + y uncertain(Z=ball(p=2, r=0.1));"
             "a: x + y <= 4; b: x - y <= 2; c: x + 2*y >= 1; d: x - y = 0;"
         )
         pre = canonicalize(parse_model(src))
-        assert len(pre.rows) == 2 + 1 + 2 + 1
+        assert len(pre.rows) == 2 + 1 + 1 + 1
 
-    def test_equality_split(self):
+    def test_equality_row_kept_whole(self):
         pre = canonicalize(parse_model("min: x; c: x = 2;"))
-        by_id = {r.id: r for r in pre.rows}
-        assert by_id["c_le"].lhs == LinExpr.of({"x": 1.0})
-        assert by_id["c_le"].rhs == 2.0
-        assert by_id["c_ge"].lhs == LinExpr.of({"x": -1.0})
-        assert by_id["c_ge"].rhs == -2.0
+        assert [r.id for r in pre.rows] == ["c"]
+        row = pre.rows[0]
+        assert row.lhs == LinExpr.of({"x": 1.0})
+        assert row.sense == "="
+        assert row.rhs == 2.0
 
     def test_uncertain_objective_epigraph(self):
         src = "var x >= 1; min: 3*x uncertain(Z=ball(p=2, r=0.5));"
@@ -155,3 +157,42 @@ class TestOptimumPreservation:
             if status == "optimal":
                 canon_obj = -sol.objective if sense == "max" else sol.objective
                 assert abs(canon_obj - expected) < 1e-9 * max(1.0, abs(expected)), f"trial {trial}"
+
+
+def with_equalities(model: roc.CanonicalModel, seed: int, split: bool) -> roc.CanonicalModel:
+    """`model` plus 1-2 certain rows a x = a x1 through a small point x1
+    (x1 ~ U[0, 0.3]^n), each as one "=" row or, when `split`, as the rows
+    a x <= b and -a x <= -b."""
+    rng = np.random.default_rng(1000 + seed)
+    names = [v.id for v in model.vars]
+    rows = list(model.rows)
+    for k in range(int(rng.integers(1, 3))):
+        a = rng.uniform(-3, 3, len(names))
+        lhs = LinExpr.of(dict(zip(names, a.tolist())))
+        b = float(a @ rng.uniform(0, 0.3, len(names)))
+        if split:
+            rows.append(roc.Constraint(f"e{k}_le", lhs, "<=", b))
+            rows.append(roc.Constraint(f"e{k}_ge", -lhs, "<=", -b))
+        else:
+            rows.append(roc.Constraint(f"e{k}", lhs, "=", b))
+    return roc.CanonicalModel(model.vars, model.objective, tuple(rows))
+
+
+class TestEqualityRows:
+    def test_whole_rows_solve_as_the_split_pair(self):
+        # both methods on "=" rows kept whole agree with the same rows
+        # written as two "<=" rows each
+        for seed in range(40):
+            base = random_instance(seed)
+            pre = canonicalize(with_equalities(base, seed, split=False))
+            assert sum(r.sense == "=" for r in pre.rows) in (1, 2)
+            oracle = with_equalities(base, seed, split=True)
+            for sol, ref in zip(solve_canonical_both(pre), solve_canonical_both(oracle)):
+                assert sol.status == ref.status, f"seed {seed}"
+                if ref.status == "optimal":
+                    assert rel_close(sol.objective, ref.objective, 1e-9), f"seed {seed}"
+
+    def test_rejects_ge_row(self):
+        row = roc.Constraint("c", LinExpr.of({"x": 1.0}), ">=", 0.0)
+        with pytest.raises(roc.ModelError):
+            roc.CanonicalModel((roc.VariableDecl("x"),), LinExpr.of({"x": 1.0}), (row,))

@@ -6,13 +6,14 @@ import pytest
 
 from roc.cli import main
 
-from support import FIXTURES
+from support import FIXTURES, fixture_text, full_pipeline, rel_close, scipy_solve_lowered
 
 EX1 = str(FIXTURES / "ex1.roc")
 DIET = str(FIXTURES / "diet.roc")
 COVER2 = str(FIXTURES / "cover2.roc")
 INTERSECT = str(FIXTURES / "intersect.roc")
 BAD = str(FIXTURES / "bad_equality.roc")
+TRANSPORT = str(FIXTURES / "transport.roc")
 
 EXPR_SCHEMA = {
     "type": "object",
@@ -34,7 +35,7 @@ STAGE_SCHEMAS = {
             "rows": {"type": "array", "items": {
                 "type": "object",
                 "required": ["id", "lhs", "sense", "rhs"],
-                "properties": {"sense": {"const": "<="}},
+                "properties": {"sense": {"enum": ["<=", "="]}},
             }},
         },
     },
@@ -239,10 +240,17 @@ class TestArtifacts:
         assert body["uncertain_rows"] == 2
 
     def test_stage_dumps_validate(self, capsys):
-        for command, schema in STAGE_SCHEMAS.items():
-            code, out = run_cli(capsys, command, EX1)
-            assert code == 0
-            jsonschema.validate(json.loads(out), schema)
+        for path in (EX1, TRANSPORT):
+            for command, schema in STAGE_SCHEMAS.items():
+                code, out = run_cli(capsys, command, path)
+                assert code == 0
+                jsonschema.validate(json.loads(out), schema)
+        # the supply and demand rows reach canonical form whole and certain
+        code, out = run_cli(capsys, "canonicalize", TRANSPORT)
+        equalities = [row for row in json.loads(out)["rows"] if row["sense"] == "="]
+        assert [row["id"] for row in equalities] == ["s1", "s2", "s3", "s4",
+                                                      "d1", "d2", "d3", "d4"]
+        assert not any("uncertainty" in row or "adaptive" in row for row in equalities)
 
     def test_emit_lp_default(self, capsys, tmp_path):
         out_file = tmp_path / "ex1.lp"
@@ -270,16 +278,34 @@ class TestArtifacts:
         assert '"rhs": -0.0' not in out
 
     def test_max_model_dumps_have_no_negative_zero(self, capsys, tmp_path):
-        # a negated max: objective and flipped >= rows once printed -0.0
+        # a negated max: objective and flipped >= rows once printed -0.0, and
+        # so did a bound written -0
         path = tmp_path / "m.roc"
-        path.write_text("max: 3*x + 2*y;\n"
-                        "c1: x + y >= 1 uncertain(Z=ball(p=2, r=0.1));\n"
-                        "c2: x + y >= 0.5 rhs_uncertain(P=[[0, 1]], Z=ball(p=1, r=0.2));\n")
-        for command in ("canonicalize", "robustify", "lower"):
-            code, out = run_cli(capsys, command, str(path))
+        for text in ("max: 3*x + 2*y;\n"
+                     "c1: x + y >= 1 uncertain(Z=ball(p=2, r=0.1));\n"
+                     "c2: x + y >= 0.5 rhs_uncertain(P=[[0, 1]], Z=ball(p=1, r=0.2));\n",
+                     "var x >= -0 <= 1;\nmax: x;\nc: x <= 1;\n"):
+            path.write_text(text)
+            for command in ("canonicalize", "robustify", "lower"):
+                code, out = run_cli(capsys, command, str(path))
+                assert code == 0
+                assert '"constant": 0.0' in out
+                assert "-0.0" not in out
+
+    def test_transport_equalities_reach_the_lp(self, capsys, tmp_path):
+        # 8 certain "=" rows and 4 robust "<=" rows: each method solves the
+        # model to HiGHS's optimum of the lowered LP, whose "=" rows emit as such
+        expected = scipy_solve_lowered(full_pipeline(fixture_text("transport.roc"))[4])
+        for method in ("reformulate", "cutplane"):
+            code, out = run_cli(capsys, "pipeline", TRANSPORT, "--method", method,
+                                "--samples", "200")
             assert code == 0
-            assert '"constant": 0.0' in out
-            assert "-0.0" not in out
+            assert rel_close(json.loads(out)["objective"], expected, 1e-9)
+        lp = tmp_path / "transport.lp"
+        assert main(["emit", TRANSPORT, "-o", str(lp)]) == 0
+        text = lp.read_text()
+        for row in ("s1: 1 x11 +1 x12 +1 x13 +1 x14 = 40", "d4: 1 x14 +1 x24 +1 x34 +1 x44 = 35"):
+            assert f" {row}\n" in text
 
     def test_adaptive_pipeline(self, capsys):
         code, out = run_cli(capsys, "pipeline", COVER2, "--samples", "500", "--seed", "2")

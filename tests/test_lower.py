@@ -333,7 +333,7 @@ class TestLowering:
         det = roc.lower_norms(roc.robustify_model(cm))
         assert [(row.q, len(row.arg)) for row in det.soc_rows] == [(1.5, 2)]
         assert [row.id for row in det.linear_rows] == ["c"]
-        assert det.linear_rows[0].lhs.coeff(det.soc_rows[0].t) == 0.5
+        assert det.linear_rows[0].lhs.coeffs()[det.soc_rows[0].t] == 0.5
         ref = roc.solve_deterministic(det)
         cut = roc.cutting_plane_solve(cm)
         assert ref.status == cut.status == "optimal"

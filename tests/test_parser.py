@@ -197,6 +197,9 @@ DIAGNOSTICS = [
      "1:26: syntax: uncertain(...) needs Z=<set>", 9),
     ("var x; min: x; c: x <= 1 uncertain(on=[zz], Z=ball(p=2, r=1, dim=3));",
      "1:40: unknown-symbol: unknown variable 'zz'", 2),
+    # `Constraint` rejects an adaptive equality; the parser places it at the row
+    ("var x; adaptive var y rule=linear; min: x; c: x + y = 1;",
+     "1:44: syntax: row c: adaptive equalities are not representable", 1),
 ]
 
 
