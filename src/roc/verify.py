@@ -1,9 +1,11 @@
 """Independent evidence: sampling-based checks of robust solutions.
 
 Random samples are drawn per set kind, each batch with array operations:
-balls exactly (uniform in the p-ball for every p), polytopes by independent
-hit-and-run chains run side by side, intersections by batched rejection from
-their easiest member, and Minkowski sums as sums of member batches.
+balls exactly (uniform in the p-ball for every p), polytopes by rejection
+from their bounding box while at least 1 in 10*L candidates is kept and by
+independent hit-and-run chains of 10*L steps after that, intersections by
+batched rejection from their easiest member, and Minkowski sums as sums of
+member batches.
 Deterministic stress points (axis extremes, sign-pattern corners, polytope
 vertices) carry the adversarial burden, since worst cases of linear
 functionals sit on boundary extremes.  Reports never throw on violation;
@@ -27,7 +29,7 @@ from .solver import FEAS_TOL, Solution
 log = logging.getLogger("roc")
 
 REJECTION_CAP = 100_000
-# entries of one (rows x chains) working array of the hit-and-run sampler
+# entries of one (rows x points) working array of a polytope sampler
 SAMPLE_BLOCK = 1 << 16
 
 
@@ -72,7 +74,27 @@ def _sample_ball(uset: NormBall, n: int, rng: np.random.Generator) -> np.ndarray
 
 
 def _sample_poly(uset: Polyhedral, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Hit-and-run: n independent chains from 0, 10*L steps each.
+    """Rejection from the bounding box of `uset.extremes`, then hit-and-run.
+
+    Box candidates are kept when D z <= d holds exactly, so kept points are
+    exactly uniform.  Rejection stops once fewer than 1 in 10*L candidates
+    were kept: from there a point costs more membership tests than one chain
+    of `_hit_and_run` costs chord steps, and chains draw the rest.
+    """
+    lo, hi, _ = uset.extremes
+    # on a flat axis lo == hi, which rng.uniform reads as hi < lo if hi is -0.0
+    lo, hi = lo + 0.0, hi + 0.0
+    L = uset.dim
+    Z = _rejection(lambda size: rng.uniform(lo, hi, size=(size, L)),
+                   lambda cand: cand[np.all(uset.D @ cand.T <= uset.d[:, None], axis=0)],
+                   n, max(1, SAMPLE_BLOCK // len(uset.d)), per_point=10 * L)
+    if len(Z) < n:
+        Z = np.concatenate([Z, _hit_and_run(uset, n - len(Z), rng)])
+    return Z
+
+
+def _hit_and_run(uset: Polyhedral, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n independent chains from 0, 10*L steps each.
 
     A chain's final point is one sample; a chain whose chords all had zero
     width never left 0 and is dropped.  Chains run side by side in blocks
@@ -138,23 +160,36 @@ def _inside(uset: UncertaintySet, Z: np.ndarray) -> np.ndarray:
     return np.array([uset.contains(z) for z in Z], dtype=bool)  # raises for Minkowski sums
 
 
-def _sample_intersection(uset: Intersection, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Rejection from the easiest member, drawn in batches sized by the yield
-    so far; stops at n points or REJECTION_CAP candidates."""
-    members = sorted(uset.members, key=_rank)
-    easiest, others = members[0], members[1:]
+def _rejection(draw, keep, n: int, block: int, cap: float = math.inf,
+               per_point: int | None = None) -> np.ndarray:
+    """Up to n rows of draw(size) that keep(candidates) returns, drawn in
+    batches of at most `block` sized by the yield so far.  Stops after `cap`
+    candidates, or once more than `per_point` were drawn per row kept."""
     parts = []
     kept = drawn = 0
-    while kept < n and drawn < REJECTION_CAP:
+    while kept < n and drawn < cap and (per_point is None or drawn <= kept * per_point):
         need = n - kept if not drawn else math.ceil((n - kept) * drawn / max(kept, 1))
-        size = min(need, REJECTION_CAP - drawn, max(1, SAMPLE_BLOCK // uset.dim))
-        cand = _sample(easiest, size, rng)
+        size = min(need, cap - drawn, block)
+        cand = keep(draw(size))
         drawn += size
-        for member in others:
-            cand = cand[_inside(member, cand)]
         parts.append(cand)
         kept += len(cand)
-    Z = np.concatenate(parts)[:n]
+    return np.concatenate(parts)[:n]
+
+
+def _sample_intersection(uset: Intersection, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Rejection from the easiest member; stops at n points or REJECTION_CAP
+    candidates."""
+    members = sorted(uset.members, key=_rank)
+    easiest, others = members[0], members[1:]
+
+    def keep(cand):
+        for member in others:
+            cand = cand[_inside(member, cand)]
+        return cand
+
+    Z = _rejection(lambda size: _sample(easiest, size, rng), keep, n,
+                   max(1, SAMPLE_BLOCK // uset.dim), cap=REJECTION_CAP)
     if len(Z) < n:
         log.warning("intersection rejection sampling kept %d of %d", len(Z), n)
     return Z

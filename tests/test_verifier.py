@@ -82,7 +82,7 @@ class TestSampling:
         uset = budget(3, 2.0)
         Z = sample_set(uset, n=10_000, seed=5)[:10_000]
         assert np.all(uset.D @ Z.T <= uset.d[:, None] + 1e-12)
-        # independent chains leave 0: uniform on this set has mean |z|_1 ~ 1.34
+        # the samples leave 0: uniform on this set has mean |z|_1 ~ 1.34
         assert np.abs(Z).sum(axis=1).mean() > 1.0
         assert np.count_nonzero(np.all(Z == 0.0, axis=1)) <= 3
 
@@ -92,6 +92,62 @@ class TestSampling:
         Z = verify._sample_poly(uset, 10_000, np.random.default_rng(1))
         assert len(Z) == 10_000
         assert np.all(uset.D @ Z.T <= uset.d[:, None] + 1e-12)
+
+    def test_cross_polytope_uniform(self):
+        # budget(3, 1) is the unit cross-polytope: P(|z|_1 <= 1/2) = (1/2)^3
+        Z = sample_set(budget(3, 1.0), n=20_000, seed=9)[:20_000]
+        assert abs(np.mean(np.abs(Z).sum(axis=1) <= 0.5) - 0.125) < 0.01
+
+    def test_poly_samples_exactly_inside(self):
+        uset = budget(3, 1.0)
+        Z = verify._sample_poly(uset, 10_000, np.random.default_rng(2))
+        assert len(Z) == 10_000
+        assert np.all(uset.D @ Z.T <= uset.d[:, None])
+
+    def test_poly_sampler_work(self, monkeypatch):
+        """Candidates tested by box rejection and points drawn by chains."""
+        tested, chained, limit = [], [], [15_000]
+        rejection, hit_and_run = verify._rejection, verify._hit_and_run
+
+        def counted(draw):
+            def draw_counted(size):
+                tested.append(size)
+                assert sum(tested) <= limit[0], "box rejection did not stop"
+                return draw(size)
+            return draw_counted
+
+        monkeypatch.setattr(verify, "_rejection",
+                            lambda draw, *a, **k: rejection(counted(draw), *a, **k))
+        monkeypatch.setattr(verify, "_hit_and_run",
+                            lambda uset, n, rng: chained.append(n) or hit_and_run(uset, n, rng))
+        # most of the box lies in budget(3, 2): rejection alone, no chains
+        Z = verify._sample_poly(budget(3, 2.0), 10_000, np.random.default_rng(1))
+        assert len(Z) == 10_000 and chained == []
+        # budget(10, 2) fills about 3e-4 of its box: one block, then chains
+        uset = budget(10, 2.0)
+        tested.clear()
+        limit[0] = verify.SAMPLE_BLOCK // len(uset.d)
+        Z = verify._sample_poly(uset, 1000, np.random.default_rng(1))
+        assert len(Z) == 1000
+        assert len(chained) == 1 and chained[0] >= 1000 - sum(tested)
+
+    def test_axis_flat_poly_sampled_on_its_face(self, caplog):
+        # -1 <= z1 <= 1, z2 = 0: the box has lo == hi == 0 along z2
+        flat = Polyhedral(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                          np.array([1.0, 1.0, 0.0, 0.0]))
+        with caplog.at_level("WARNING", logger="roc"):
+            Z = sample_set(flat, n=1000, seed=1)[:1000]
+        assert len(Z) == 1000 and not caplog.text
+        assert np.all(Z[:, 1] == 0.0) and np.ptp(Z[:, 0]) > 1.5
+
+    def test_tilted_flat_poly_gets_no_samples(self, caplog):
+        # z1 = z2 as two rows: box candidates miss it, chains cannot move
+        flat = Polyhedral(np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 0.0], [-1.0, 0.0]]),
+                          np.array([0.0, 0.0, 1.0, 1.0]))
+        with caplog.at_level("WARNING", logger="roc"):
+            Z = sample_set(flat, n=1000, seed=1)
+        assert len(Z) == len(stress_points(flat))
+        assert "hit-and-run produced 0 of 1000 samples" in caplog.text
 
     def test_general_p_ball_exact(self):
         uset = NormBall(3.0, 0.1, 40)
