@@ -2,7 +2,10 @@
 
 Everything here is an immutable value: expressions, variable declarations,
 uncertainty sets, constraints and whole models are frozen after construction
-and safe to share between threads.
+and safe to share between threads.  The one exception is the LP a polytope
+keeps for the solver's pessimization (`Polyhedral.support_lp`): each call
+changes it, so one set instance must not be pessimized from two threads at
+once.
 """
 from __future__ import annotations
 
@@ -216,6 +219,14 @@ class Polyhedral(UncertaintySet):
         """`solver.coordinate_extremes` of the set, solved once per instance."""
         from .solver import coordinate_extremes  # the solver builds on this module
         return coordinate_extremes(self)
+
+    @cached_property
+    def support_lp(self):
+        """`solver.support_lp` of the set, the LP that `solver.pessimize`
+        keeps for this instance and re-enters on every call: built once per
+        instance and, unlike the set, changed by each use."""
+        from .solver import support_lp
+        return support_lp(self)
 
     def __eq__(self, other):
         return (isinstance(other, Polyhedral)

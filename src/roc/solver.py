@@ -16,6 +16,12 @@ primal simplex confirms the optimum.  A full pool evicts only a cut that
 does not bind, whose slack is basic, so the cut is deleted in place.  A
 dual phase that repeats a state or finds no entering column re-solves the
 master cold.
+
+A polytope D z <= d is pessimized through the dual of max w^T z, the LP
+min d^T y s.t. D^T y = w, y >= 0, whose row duals are the worst z.  Its
+matrix and cost do not depend on w, so each set instance keeps one such LP
+(`Polyhedral.support_lp`): a call sets its right-hand sides to w, the last
+optimal basis stays dual feasible, and dual simplex steps re-enter it.
 """
 from __future__ import annotations
 
@@ -27,10 +33,10 @@ import numpy as np
 
 from .canonicalize import CanonicalModel
 from .errors import SolverError, UnsupportedSetError
-from .model import (EQ, INF, LE, Constraint, LinExpr, MinkowskiSum, NormBall,
-                    Polyhedral, UncertaintySet, VariableDecl, vector_norm)
+from .model import (EQ, INF, LE, LinExpr, MinkowskiSum, NormBall, Polyhedral,
+                    UncertaintySet, vector_norm)
 from .lower import DeterministicModel, NormRow
-from .rc import dual_norm
+from .rc import NameGen, dual_norm, support_conjugate
 
 log = logging.getLogger("roc")
 
@@ -520,6 +526,15 @@ class _LP:
         self.tab.drop_row(len(self.b) + k, col)
         self.slacks = [j - (j > col) for j in self.slacks]
 
+    def set_rhs(self, b: np.ndarray):
+        """Replace the model rows' right-hand sides over the columns.  The
+        costs stay, so a kept basis stays dual feasible: it is refactorized
+        under the new sides and the next `solve` starts from it."""
+        self.b[:] = b
+        if self.tab is not None:
+            self.tab.b0[:self.b.size] = self.b
+            self.tab.rebuild(self.tab.cost)
+
     def solve(self, max_pivots: int = MAX_PIVOTS) -> tuple[str, int, str]:
         """(status, steps, how the solve started).
 
@@ -602,11 +617,24 @@ class _LP:
     def objective(self) -> float:
         return float(self.c @ self.x() + self.c_offset)
 
+    def duals(self) -> np.ndarray:
+        """The model rows' duals at the kept tableau's basis, a new array:
+        minus the reduced costs of their slacks."""
+        return 0.0 - self.tab.T[-1, self.n:self.n + self.b.size]
+
     def solution(self, status: str, iterations: int) -> Solution:
         if status != OPTIMAL:
             return Solution(status, -math.inf if status == UNBOUNDED else math.nan, {}, iterations)
         return Solution(OPTIMAL, self.objective(),
                         dict(zip(self.index, self.values().tolist())), iterations)
+
+
+def support_lp(uset: Polyhedral) -> _LP:
+    """min d^T y s.t. D^T y = w, y >= 0, the LP `rc.support_conjugate`
+    writes for a polytope, here with w = 0 until `set_rhs` gives it: the
+    dual of max w^T z over D z <= d, whose row duals are that z."""
+    sr = support_conjugate(uset, (LinExpr(),) * uset.dim, NameGen())
+    return _LP(DeterministicModel(sr.aux_vars, sr.affine, sr.aux_rows))
 
 
 def simplex_solve(model: DeterministicModel, max_pivots: int = MAX_PIVOTS) -> Solution:
@@ -630,7 +658,14 @@ def can_pessimize(uset: UncertaintySet) -> bool:
 
 
 def pessimize(uset: UncertaintySet, w: np.ndarray) -> PessimizationResult:
-    """Closed-form / inner-LP maximizer of w^T z over z in Z."""
+    """Closed-form / inner-LP maximizer of w^T z over z in Z.
+
+    Over a polytope the inner LP is the set instance's kept dual LP,
+    re-entered from its last optimal basis; z* is read from its row duals,
+    as a new array.  Under ties z* may depend on the earlier calls on the
+    same instance; the value does not.  A dual LP that ends non-optimal
+    (the set is unbounded along w, or empty) raises SolverError.
+    """
     w = np.asarray(w, dtype=float)
     if w.shape != (uset.dim,):
         raise SolverError(f"pessimize: argument shape {w.shape} does not match set dim {uset.dim}")
@@ -655,21 +690,13 @@ def pessimize(uset: UncertaintySet, w: np.ndarray) -> PessimizationResult:
         return PessimizationResult(z, float(w @ z))
 
     if isinstance(uset, Polyhedral):
-        z_vars = tuple(VariableDecl(f"_z{l + 1}") for l in range(uset.dim))
-        rows = tuple(
-            Constraint(f"_pz{i + 1}",
-                       LinExpr.of({z_vars[l].id: float(uset.D[i, l]) for l in range(uset.dim)}),
-                       LE, float(uset.d[i]))
-            for i in range(uset.D.shape[0]))
-        inner = DeterministicModel(
-            vars=z_vars,
-            objective=LinExpr.of({v.id: -w[l] for l, v in enumerate(z_vars)}),
-            linear_rows=rows)
-        sol = simplex_solve(inner)
-        if sol.status != OPTIMAL:
-            raise SolverError(f"pessimization LP over polyhedron ended {sol.status}")
-        z = np.array([sol.values[v.id] for v in z_vars])
-        return PessimizationResult(z, float(-sol.objective))
+        lp = uset.support_lp
+        lp.set_rhs(w)
+        status, _, _ = lp.solve()
+        if status != OPTIMAL:
+            raise SolverError(f"pessimization LP over polyhedron: its dual ended {status}")
+        z = lp.duals()
+        return PessimizationResult(z, float(w @ z))
 
     if isinstance(uset, MinkowskiSum):
         z = np.zeros(uset.dim)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .canonicalize import CanonicalModel
 from .errors import UnsupportedSetError
-from .model import (INF, Intersection, LdrAssignment, MinkowskiSum, NormBall,
-                    Polyhedral, UncertaintySet)
+from .model import (EQ, HERE_AND_NOW, INF, Intersection, LdrAssignment,
+                    MinkowskiSum, NormBall, Polyhedral, UncertaintySet)
 from .solver import FEAS_TOL, Solution
 
 log = logging.getLogger("roc")
@@ -253,8 +253,11 @@ def verify_solution(model: CanonicalModel, sol: Solution, n: int, seed: int,
                     oracle_gap: float | None = None,
                     tol: float = 1e-6,
                     feas_tol: float = FEAS_TOL) -> VerificationReport:
-    """Check every uncertain row of `model` at sampled and stress points.
+    """Check every row of `model`: certain rows and here-and-now bounds once
+    at the solution, uncertain rows at sampled and stress points.
 
+    A "<=" row's violation is lhs - rhs, an "=" row's |lhs - rhs|, and a
+    bound's how far the value lies past it.
     For adaptive models pass the pre-decision-rule canonical model together
     with the rule assignment from the solved model; wait-and-see variables
     are evaluated as y(z) = u + V^T z and their bound rows checked too.
@@ -265,6 +268,17 @@ def verify_solution(model: CanonicalModel, sol: Solution, n: int, seed: int,
     violations = 0
     max_violation = 0.0
 
+    def check(excess: np.ndarray):
+        nonlocal violations, max_violation
+        if excess.size:
+            max_violation = max(max_violation, float(excess.max()))
+            violations += int(np.count_nonzero(excess > feas_tol))
+
+    here = [v for v in model.vars if v.stage == HERE_AND_NOW]
+    x = np.array([values[v.id] for v in here])
+    check(np.maximum(np.array([v.lower for v in here]) - x,
+                     x - np.array([v.upper for v in here])))
+
     # adaptive rows share one uncertainty vector: one batch for all of them
     shared_batch: np.ndarray | None = None
     shared_set = next((r.uncertainty.uset for r in model.rows
@@ -274,7 +288,9 @@ def verify_solution(model: CanonicalModel, sol: Solution, n: int, seed: int,
 
     batch_idx = 0
     for row in model.rows:
+        base = row.lhs.evaluate(values) - row.rhs
         if row.uncertainty is None and row.adaptive is None:
+            check(np.array([abs(base) if row.sense == EQ else base]))
             continue
         if row.adaptive is not None:
             Z = shared_batch
@@ -283,7 +299,6 @@ def verify_solution(model: CanonicalModel, sol: Solution, n: int, seed: int,
             Z = sample_set(row.uncertainty.uset, n, seed + batch_idx)
         if Z is None or not len(Z):
             continue
-        base = row.lhs.evaluate(values) - row.rhs
         vals = np.full(len(Z), base)
         if row.uncertainty is not None:
             w = row.uncertainty.P.T @ np.array([values[v] for v in row.uncertainty.on])
@@ -295,9 +310,7 @@ def verify_solution(model: CanonicalModel, sol: Solution, n: int, seed: int,
             for y_id, coeff in row.adaptive.terms:
                 u, v = ldr.policy(y_id, values)
                 vals = vals + coeff * (u + Z @ v)
-        row_viol = float(np.max(vals))
-        max_violation = max(max_violation, row_viol)
-        violations += int(np.count_nonzero(vals > feas_tol))
+        check(vals)
 
     # bounds of wait-and-see variables must hold for every z
     if ldr is not None and shared_batch is not None:
@@ -306,15 +319,10 @@ def verify_solution(model: CanonicalModel, sol: Solution, n: int, seed: int,
             u, v = ldr.policy(y_id, values)
             y_vals = u + shared_batch @ v
             if decl.lower > -INF:
-                viol = decl.lower - y_vals
-                max_violation = max(max_violation, float(np.max(viol)))
-                violations += int(np.count_nonzero(viol > feas_tol))
+                check(decl.lower - y_vals)
             if decl.upper < INF:
-                viol = y_vals - decl.upper
-                max_violation = max(max_violation, float(np.max(viol)))
-                violations += int(np.count_nonzero(viol > feas_tol))
+                check(y_vals - decl.upper)
 
-    max_violation = max(0.0, max_violation)
     # b = a +- gap; for tol < 1 the rule holds on either side of a exactly
     # when gap <= tol * max(1, |a|)
     gap_ok = oracle_gap is None or abs(oracle_gap) <= tol * max(1.0, abs(sol.objective))

@@ -2,6 +2,7 @@
 oracles (sampling pessimization, brute-force corner enumeration, scipy LPs)."""
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,13 @@ def random_set(rng: np.random.Generator, L: int, kinds=BALL_KINDS):
         return roc.Intersection(members)
     members = (roc.NormBall(np.inf, rho / 2, L), roc.NormBall(2.0, rho / 2, L))
     return roc.MinkowskiSum(members)
+
+
+def budget(L: int, gamma: float) -> roc.Polyhedral:
+    """{z : |z_l| <= 1, sum_l |z_l| <= gamma} with one row per sign pattern."""
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=L)))
+    D = np.vstack([np.eye(L), -np.eye(L), signs])
+    return roc.Polyhedral(D, np.r_[np.ones(2 * L), np.full(2 ** L, gamma)])
 
 
 def random_instance(seed: int, kinds=BALL_KINDS) -> roc.CanonicalModel:

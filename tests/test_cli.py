@@ -14,6 +14,7 @@ COVER2 = str(FIXTURES / "cover2.roc")
 INTERSECT = str(FIXTURES / "intersect.roc")
 BAD = str(FIXTURES / "bad_equality.roc")
 TRANSPORT = str(FIXTURES / "transport.roc")
+BUDGET = str(FIXTURES / "budget.roc")
 
 EXPR_SCHEMA = {
     "type": "object",
@@ -306,6 +307,19 @@ class TestArtifacts:
         text = lp.read_text()
         for row in ("s1: 1 x11 +1 x12 +1 x13 +1 x14 = 40", "d4: 1 x14 +1 x24 +1 x34 +1 x44 = 35"):
             assert f" {row}\n" in text
+
+    def test_budget_polytope_pipeline(self, capsys):
+        # three rows share one budget polytope and a fourth sums it with a
+        # box; HiGHS on the lowered LP gives the optimum 563.5714285714286
+        expected = -scipy_solve_lowered(full_pipeline(fixture_text("budget.roc"))[4])
+        assert rel_close(expected, 563.5714285714286, 1e-12)
+        for method in ("reformulate", "cutplane"):
+            code, out = run_cli(capsys, "pipeline", BUDGET, "--method", method,
+                                "--samples", "2000")
+            assert code == 0
+            report = json.loads(out)
+            assert report["verification"]["verdict"] == "pass"
+            assert rel_close(report["objective"], expected, 1e-9)
 
     def test_adaptive_pipeline(self, capsys):
         code, out = run_cli(capsys, "pipeline", COVER2, "--samples", "500", "--seed", "2")

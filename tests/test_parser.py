@@ -484,8 +484,8 @@ class TestParseUncertaintySpec:
 
     def test_repeated_poly_validated_once(self, monkeypatch):
         calls = []
-        solve = roc.solver.simplex_solve
-        monkeypatch.setattr(roc.solver, "simplex_solve",
+        solve = roc.solver._LP.solve  # one call per polytope LP
+        monkeypatch.setattr(roc.solver._LP, "solve",
                             lambda *a, **k: calls.append(1) or solve(*a, **k))
         box = "poly(D=[[1,0],[-1,0],[0,1],[0,-1]], d=[1,1,1,1])"
         rows = "".join(f"c{i}: x1 + x2 <= 10 uncertain(Z={box});" for i in range(4))

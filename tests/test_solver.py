@@ -1,4 +1,5 @@
 """Simplex, pessimization, cutting-plane loop: values, statuses, determinism."""
+import itertools
 import math
 import re
 
@@ -8,7 +9,7 @@ import pytest
 import roc
 from roc import LinExpr, NormBall, Polyhedral, pessimize
 
-from support import (BALL_KINDS, GENERAL_P_KINDS, aggressive_instance, dense_ball_text,
+from support import (BALL_KINDS, GENERAL_P_KINDS, aggressive_instance, budget, dense_ball_text,
                      fixture_text, full_pipeline, random_instance, random_set,
                      rel_close, scipy_solve, scipy_solve_lowered,
                      solve_canonical_both)
@@ -444,6 +445,80 @@ class TestPessimize:
         res = pessimize(NormBall(2.0, 0.0, 2), np.array([5.0, 5.0]))
         assert res.value == 0.0
         assert np.allclose(res.zstar, 0.0)
+
+    @staticmethod
+    def polytopes(rng):
+        """Boxes, cross-polytopes, budget sets and random bounded D z <= d."""
+        sets = []
+        for L in (1, 2, 3, 5):
+            sets.append(Polyhedral(np.vstack([np.eye(L), -np.eye(L)]), rng.uniform(0.1, 2.0, 2 * L)))
+            signs = np.array(list(itertools.product((1.0, -1.0), repeat=L)))
+            sets.append(Polyhedral(signs, np.full(len(signs), rng.uniform(0.5, 2.0))))
+        sets += [budget(3, 1.0), budget(4, 1.5), budget(6, 2.0)]
+        for L, k, zeros in ((2, 3, 0), (3, 6, 1), (4, 9, 2), (6, 12, 0)):
+            # G has full rank and the last row is minus the sum of its rows, so
+            # the rows span R^L positively: the set is bounded; d = 0 on a
+            # row puts 0 on a face, where the LPs are degenerate
+            G = rng.normal(size=(k, L))
+            d = rng.uniform(0.2, 2.0, k + 1)
+            d[:zeros] = 0.0
+            sets.append(Polyhedral(np.vstack([G, -G.sum(axis=0)]), d))
+        return sets
+
+    def test_poly_oracle_against_highs(self):
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(21)
+        for s, uset in enumerate(self.polytopes(rng)):
+            L = uset.dim
+            for call in range(60):  # one instance: every call after the first is warm
+                w = rng.normal(size=L)
+                if call % 5 == 0:
+                    w[rng.integers(0, L)] = 0.0  # ties along the zeroed coordinate
+                res = pessimize(uset, w)
+                ref = linprog(-w, A_ub=uset.D, b_ub=uset.d, bounds=[(None, None)] * L,
+                              method="highs")
+                assert ref.status == 0
+                assert rel_close(res.value, -ref.fun, 1e-9), (s, call)
+                assert uset.contains(res.zstar, 1e-9), (s, call)
+                assert w @ res.zstar == res.value
+                # a cold instance may pick another optimal vertex, not another value
+                fresh = pessimize(Polyhedral(uset.D, uset.d), w).value
+                assert rel_close(fresh, res.value, 1e-12), (s, call)
+
+    def test_poly_zstar_is_a_copy(self):
+        uset = budget(3, 1.0)
+        first = pessimize(uset, np.array([1.0, 0.5, 0.25]))
+        kept = first.zstar.copy()
+        pessimize(uset, np.array([-1.0, 0.5, -0.25]))
+        assert np.array_equal(first.zstar, kept)
+
+    def test_budget_extremes_pinned(self):
+        lo, hi, points = roc.solver.coordinate_extremes(budget(10, 2.0))
+        assert np.array_equal(lo, -np.ones(10)) and np.array_equal(hi, np.ones(10))
+        assert len(points) == 20
+
+    def test_unbounded_direction_then_bounded(self):
+        quadrant = Polyhedral(np.eye(2), np.ones(2))  # z <= 1: unbounded below
+        for _ in range(2):
+            with pytest.raises(roc.SolverError):
+                pessimize(quadrant, np.array([-1.0, 0.0]))
+            res = pessimize(quadrant, np.array([1.0, 2.0]))
+            assert res.value == 3.0 and np.array_equal(res.zstar, [1.0, 1.0])
+
+    def test_one_kept_lp_per_set(self, monkeypatch):
+        inits, solves = [], []
+        init = roc.solver._LP.__init__
+        monkeypatch.setattr(roc.solver._LP, "__init__",
+                            lambda self, *a, **k: inits.append(1) or init(self, *a, **k))
+        simplex = roc.solver.simplex_solve
+        monkeypatch.setattr(roc.solver, "simplex_solve",
+                            lambda *a, **k: solves.append(1) or simplex(*a, **k))
+        uset = budget(4, 2.0)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            pessimize(uset, rng.normal(size=4))
+        assert len(inits) == 1 and not solves
 
 
 class TestCuttingPlane:

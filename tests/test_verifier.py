@@ -9,16 +9,9 @@ import pytest
 import roc
 from roc import NormBall, Polyhedral, sample_set, stress_points, verify
 
-from support import fixture_text, full_pipeline
+from support import budget, fixture_text, full_pipeline
 
 INF = math.inf
-
-
-def budget(L, gamma):
-    """{z : |z_l| <= 1, sum_l |z_l| <= gamma} with one row per sign pattern."""
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=L)))
-    D = np.vstack([np.eye(L), -np.eye(L), signs])
-    return Polyhedral(D, np.r_[np.ones(2 * L), np.full(2 ** L, gamma)])
 
 
 def p_norms(Z, p):
@@ -172,8 +165,8 @@ class TestSampling:
 
     def test_poly_stress_points_solved_once(self, monkeypatch):
         calls = []
-        solve = roc.solver.simplex_solve
-        monkeypatch.setattr(roc.solver, "simplex_solve",
+        solve = roc.solver._LP.solve  # one call per polytope LP
+        monkeypatch.setattr(roc.solver._LP, "solve",
                             lambda *a, **k: calls.append(1) or solve(*a, **k))
         box = Polyhedral(np.vstack([np.eye(2), -np.eye(2)]), np.array([1.0, 1.0, 2.0, 2.0]))
         first = stress_points(box)
@@ -289,6 +282,27 @@ class TestVerifySolution:
         a = roc.verify_solution(pre, sol, n=500, seed=21, ldr=post.ldr)
         b = roc.verify_solution(pre, sol, n=500, seed=21, ldr=post.ldr)
         assert a == b
+
+    def test_certain_rows_and_bounds_checked(self):
+        # the uncertain row is loose at every planted point, so each plant
+        # below breaks exactly one certain row or one variable bound
+        src = """var x >= 0 <= 4; var y >= 0; var z >= 0;
+                 min: -x - y - z;
+                 u: x + y + z <= 100 uncertain(Z=ball(p=inf, r=0.1));
+                 cap: y <= 5;
+                 bal: z - x = 1;"""
+        _, pre, post, _, det = full_pipeline(src)
+        sol = roc.solve_deterministic(det)
+        assert sol.values == {"x": 4.0, "y": 5.0, "z": 5.0}
+        rep = roc.verify_solution(pre, sol, n=100, seed=1, ldr=post.ldr)
+        assert (rep.verdict, rep.violations, rep.max_violation) == ("pass", 0, 0.0)
+        plants = {"cap": ({"y": 5.5}, 0.5), "bal above": ({"z": 5.25}, 0.25),
+                  "bal below": ({"z": 4.75}, 0.25), "x upper": ({"x": 4.5, "z": 5.5}, 0.5),
+                  "x lower": ({"x": -0.5, "z": 0.5}, 0.5)}
+        for name, (moved, excess) in plants.items():
+            bad = replace(sol, values={**sol.values, **moved})
+            rep = roc.verify_solution(pre, bad, n=100, seed=1, ldr=post.ldr)
+            assert (rep.verdict, rep.violations, rep.max_violation) == ("fail", 1, excess), name
 
     def test_adaptive_bounds_checked(self):
         # force an invalid policy: slope that violates y >= 0 at z = -1
