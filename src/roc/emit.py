@@ -153,7 +153,7 @@ def _set_dict(uset: UncertaintySet) -> dict:
 def _set_from(d: dict) -> UncertaintySet:
     kind = d["kind"]
     if kind == "ball":
-        return NormBall(_unbound(d["p"]), d["r"], int(d["dim"]))
+        return NormBall(_unbound(d["p"]), d["r"], d["dim"])
     if kind == "poly":
         return Polyhedral(np.array(d["D"]), np.array(d["d"]))
     if kind == "intersect":

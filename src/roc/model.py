@@ -177,6 +177,9 @@ class NormBall(UncertaintySet):
             raise ModelError(f"norm ball: radius must be >= 0, got {self.radius}")
         if not math.isfinite(self.radius):
             raise DimensionError(f"norm ball: radius must be finite, got {self.radius}")
+        if not float(self.L).is_integer():
+            raise DimensionError(f"norm ball: dimension must be an integer, got {float(self.L):g}")
+        object.__setattr__(self, "L", int(self.L))
         if self.L < 1:
             raise DimensionError(f"norm ball: dimension must be >= 1, got {self.L}")
 
@@ -448,11 +451,11 @@ class Model:
         ids = {c.id for c in self.constraints}
         if len(ids) != len(self.constraints):
             raise ModelError("duplicate constraint ids")
-        self._check_stage_split(self.objective, None, "objective")
-        self._check_block(self.objective_uncertainty, self.objective, "objective")
+        self._check_stage_split(vmap, self.objective, None, "objective")
+        self._check_block(vmap, self.objective_uncertainty, "objective")
         for c in self.constraints:
-            self._check_stage_split(c.lhs, c.adaptive, f"row {c.id}")
-            self._check_block(c.uncertainty, c.lhs, f"row {c.id}")
+            self._check_stage_split(vmap, c.lhs, c.adaptive, f"row {c.id}")
+            self._check_block(vmap, c.uncertainty, f"row {c.id}")
 
     def var_map(self) -> dict[str, VariableDecl]:
         return {v.id: v for v in self.vars}
@@ -460,8 +463,9 @@ class Model:
     def wait_and_see(self) -> tuple[VariableDecl, ...]:
         return tuple(v for v in self.vars if v.stage == WAIT_AND_SEE)
 
-    def _check_stage_split(self, lhs: LinExpr, adaptive: LinExpr | None, where: str):
-        vmap = self.var_map()
+    @staticmethod
+    def _check_stage_split(vmap: dict[str, VariableDecl], lhs: LinExpr,
+                           adaptive: LinExpr | None, where: str):
         for v, _ in lhs.terms:
             decl = vmap.get(v)
             if decl is None:
@@ -476,10 +480,10 @@ class Model:
                 if decl.stage != WAIT_AND_SEE:
                     raise ModelError(f"{where}: {v!r} is not a wait-and-see variable")
 
-    def _check_block(self, block: UncertainBlock | None, lhs: LinExpr, where: str):
+    @staticmethod
+    def _check_block(vmap: dict[str, VariableDecl], block: UncertainBlock | None, where: str):
         if block is None:
             return
-        vmap = self.var_map()
         for v in block.on:
             decl = vmap.get(v)
             if decl is None:

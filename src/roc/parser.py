@@ -350,45 +350,51 @@ class _Parser:
         end = self.expect("]")
         return Token("idents", self.source[start.offset:end.offset + 1], start.offset), names
 
+    def dim(self) -> int:
+        """A ball's `dim`, which must be an integer (checked here to locate it)."""
+        tok = self.peek()
+        dim = self.number()
+        if not dim.is_integer():
+            self.fail(tok, f"norm ball: dimension must be an integer, got {dim:g}", DIMENSION)
+        return int(dim)
+
+    def args(self, kw: Token, readers: dict) -> dict:
+        """`( key = value { , key = value } )` after `kw`, each value read by
+        `readers[key]`; a key that is not in `readers`, or is given twice,
+        fails at that key.  The caller checks the keys it requires."""
+        self.expect("(")
+        out = {}
+        while True:
+            key = self.next()
+            if key.text not in readers:
+                self.fail(key, f"unknown {kw.text}(...) argument {key.text!r}")
+            if key.text in out:
+                self.fail(key, f"{kw.text}(...) argument {key.text!r} given twice")
+            self.expect("=")
+            out[key.text] = readers[key.text]()
+            if not self.accept(","):
+                break
+        self.expect(")")
+        return out
+
     def uncertainty_set(self) -> UncertaintySet:
         tok = self.next()
         name = tok.text
         if name == "ball":
-            self.expect("(")
-            self.expect("p")
-            self.expect("=")
-            p = self.number()
-            self.expect(",")
-            self.expect("r")
-            self.expect("=")
-            r = self.datum()
-            dim = None
-            if self.accept(","):
-                self.expect("dim")
-                self.expect("=")
-                dim_tok = self.peek()
-                dim = self.number()
-                if not dim.is_integer():
-                    self.fail(dim_tok, f"norm ball: dimension must be an integer, got {dim:g}",
-                              DIMENSION)
-            self.expect(")")
+            args = self.args(tok, {"p": self.number, "r": self.datum, "dim": self.dim})
+            if "p" not in args or "r" not in args:
+                self.fail(tok, "ball(...) needs p=<number> and r=<number>")
             try:  # checks p and r now, also when dim is left to the context
-                ball = NormBall(p, r, 1 if dim is None else int(dim))
+                ball = NormBall(args["p"], args["r"], args.get("dim", 1))
             except (ModelError, DimensionError) as exc:
                 self.fail(tok, str(exc), DIMENSION)
-            return _PendingBall(p, r) if dim is None else ball
+            return ball if "dim" in args else _PendingBall(ball.p, ball.radius)
         if name == "poly":
-            self.expect("(")
-            self.expect("D")
-            self.expect("=")
-            D = self.matrix()
-            self.expect(",")
-            self.expect("d")
-            self.expect("=")
-            d = self.vector()
-            self.expect(")")
+            args = self.args(tok, {"D": self.matrix, "d": self.vector})
+            if "D" not in args or "d" not in args:
+                self.fail(tok, "poly(...) needs D=<matrix> and d=<vector>")
             try:
-                pset = Polyhedral(np.array(D), np.array(d))
+                pset = Polyhedral(np.array(args["D"]), np.array(args["d"]))
             except (ModelError, DimensionError) as exc:
                 self.fail(tok, str(exc), DIMENSION)
             # one instance per distinct set: verification's stress points
@@ -410,13 +416,11 @@ class _Parser:
             while self.accept(","):
                 members.append(self.uncertainty_set())
             self.expect(")")
-            pending = [m for m in members if isinstance(m, _PendingBall)]
-            concrete = [m.dim for m in members if not isinstance(m, _PendingBall)]
-            if pending:
-                if not concrete:
-                    self.fail(tok, "cannot infer ball dimension; give dim= on at least one member",
-                              DIMENSION)
-                members = [m.fix(concrete[0]) if isinstance(m, _PendingBall) else m for m in members]
+            sizes = [m.dim for m in members if not isinstance(m, _PendingBall)]
+            if not sizes:
+                self.fail(tok, "cannot infer ball dimension; give dim= on at least one member",
+                          DIMENSION)
+            members = [_sized(m, sizes[0]) for m in members]
             cls = Intersection if name == "intersect" else MinkowskiSum
             try:
                 return cls(tuple(members))
@@ -449,7 +453,7 @@ class _Parser:
             if tok.text == "var":
                 self.next()
                 name = self.ident("a variable name")
-                lo, hi = self.bounds(name)
+                lo, hi = self.bounds()
                 self.expect(";")
                 try:
                     declare(name, lower=lo, upper=hi)
@@ -459,7 +463,7 @@ class _Parser:
                 self.next()
                 self.expect("var")
                 name = self.ident("a variable name")
-                lo, hi = self.bounds(name)
+                lo, hi = self.bounds()
                 self.expect("rule")
                 self.expect("=")
                 rule = self.next()
@@ -479,7 +483,7 @@ class _Parser:
                 auto_declare(expr)
                 block = None
                 if self.peek().text == "uncertain":
-                    block = self.uncertain_clause(expr, decls)
+                    block = self.clause(expr, decls)
                 self.expect(";")
                 objective = (tok.text, expr, block)
             elif tok.kind == "ident":
@@ -496,9 +500,9 @@ class _Parser:
                 block = None
                 rub = None
                 if self.peek().text == "uncertain":
-                    block = self.uncertain_clause(lhs, decls, sense_tok)
+                    block = self.clause(lhs, decls, sense_tok)
                 elif self.peek().text == "rhs_uncertain":
-                    rub = self.rhs_uncertain_clause(sense_tok)
+                    rub = self.clause(lhs, decls, sense_tok)
                 self.expect(";")
                 constraints.append((name, lhs, sense_tok.text, block, rub))
             else:
@@ -509,7 +513,7 @@ class _Parser:
 
         return self.build(decls, order, objective, constraints)
 
-    def bounds(self, name: Token) -> tuple[float, float]:
+    def bounds(self) -> tuple[float, float]:
         lo, hi = -math.inf, math.inf
         while self.peek().text in (GE, LE):
             tok = self.next()
@@ -520,96 +524,46 @@ class _Parser:
                 hi = value
         return lo, hi
 
-    def uncertain_clause(self, lhs: LinExpr, decls, sense_tok: Token | None = None):
-        kw = self.expect("uncertain")
+    def clause(self, lhs: LinExpr, decls, sense_tok: Token | None = None):
+        """An `uncertain(...)` clause as an UncertainBlock, or an
+        `rhs_uncertain(...)` one as an RhsUncertainty."""
+        kw = self.next()
         if sense_tok is not None and sense_tok.text == EQ:
             self.fail(kw, "robust equalities are not representable")
-        self.expect("(")
-        on_list = None
-        P = None
-        uset = None
-        while True:
-            key = self.next()
-            if key.text == "on":
-                self.expect("=")
-                on_list = self.ident_list()
-            elif key.text == "P":
-                self.expect("=")
-                P = self.matrix()
-            elif key.text == "Z":
-                self.expect("=")
-                uset = self.uncertainty_set()
-            else:
-                self.fail(key, f"unknown uncertain(...) argument {key.text!r}")
-            if not self.accept(","):
-                break
-        self.expect(")")
-        if uset is None:
-            self.fail(kw, "uncertain(...) needs Z=<set>")
+        rhs = kw.text == "rhs_uncertain"
+        readers = {"P": self.matrix, "Z": self.uncertainty_set}
+        if not rhs:
+            readers["on"] = self.ident_list
+        args = self.args(kw, readers)
+        if "Z" not in args:
+            self.fail(kw, f"{kw.text}(...) needs Z=<set>")
+        uset, P = args["Z"], args.get("P")
 
-        if on_list is None:
-            on = [v for v, _ in lhs.terms if decls[v].stage == HERE_AND_NOW]
-            if not on:
-                self.fail(kw, "no here-and-now coefficients to perturb")
+        if rhs:
+            if P is not None and len(P) != 1:
+                self.fail(kw, "rhs perturbation P must be a single row", DIMENSION)
+            uset = _sized(uset, 1 if P is None else len(P[0]))
+            P = np.ones(uset.dim) if P is None else np.array(P[0], dtype=float)
         else:
-            span, on = on_list
-            if any(v not in decls or decls[v].stage != HERE_AND_NOW for v in on):
-                for tok in self.elements(span):  # the first name that fails
-                    if tok.kind == "ident" and tok.text not in decls:
-                        self.fail(tok, f"unknown variable {tok.text!r}", UNKNOWN_SYMBOL)
-                    if tok.kind == "ident" and decls[tok.text].stage != HERE_AND_NOW:
-                        self.fail(tok, "recourse coefficients must be certain (fixed recourse)")
-
-        if P is None:
-            if isinstance(uset, _PendingBall):
-                uset = uset.fix(len(on))
-            if uset.dim != len(on):
+            if "on" not in args:
+                on = [v for v, _ in lhs.terms if decls[v].stage == HERE_AND_NOW]
+                if not on:
+                    self.fail(kw, "no here-and-now coefficients to perturb")
+            else:
+                span, on = args["on"]
+                if any(v not in decls or decls[v].stage != HERE_AND_NOW for v in on):
+                    for tok in self.elements(span):  # the first name that fails
+                        if tok.kind == "ident" and tok.text not in decls:
+                            self.fail(tok, f"unknown variable {tok.text!r}", UNKNOWN_SYMBOL)
+                        if tok.kind == "ident" and decls[tok.text].stage != HERE_AND_NOW:
+                            self.fail(tok, "recourse coefficients must be certain (fixed recourse)")
+            uset = _sized(uset, len(on) if P is None else len(P[0]))
+            if P is None and uset.dim != len(on):
                 self.fail(kw, f"set dimension {uset.dim} != {len(on)} perturbed coefficients "
                               "(give P= explicitly)", DIMENSION)
-            P_arr = np.eye(len(on))
-        else:
-            P_arr = np.array(P, dtype=float)
-            if isinstance(uset, _PendingBall):
-                uset = uset.fix(P_arr.shape[1] if P_arr.ndim == 2 else 1)
+            P = np.eye(len(on)) if P is None else np.array(P, dtype=float)
         try:
-            return UncertainBlock(tuple(on), P_arr, uset)
-        except (ModelError, DimensionError) as exc:
-            self.fail(kw, str(exc), DIMENSION)
-
-    def rhs_uncertain_clause(self, sense_tok: Token):
-        kw = self.expect("rhs_uncertain")
-        if sense_tok.text == EQ:
-            self.fail(kw, "robust equalities are not representable")
-        self.expect("(")
-        p = None
-        uset = None
-        while True:
-            key = self.next()
-            if key.text == "P":
-                self.expect("=")
-                p = self.matrix()
-            elif key.text == "Z":
-                self.expect("=")
-                uset = self.uncertainty_set()
-            else:
-                self.fail(key, f"unknown rhs_uncertain(...) argument {key.text!r}")
-            if not self.accept(","):
-                break
-        self.expect(")")
-        if uset is None:
-            self.fail(kw, "rhs_uncertain(...) needs Z=<set>")
-        if p is None:
-            if isinstance(uset, _PendingBall):
-                uset = uset.fix(1)
-            p_arr = np.ones(uset.dim)
-        else:
-            if len(p) != 1:
-                self.fail(kw, "rhs perturbation P must be a single row", DIMENSION)
-            p_arr = np.array(p[0], dtype=float)
-            if isinstance(uset, _PendingBall):
-                uset = uset.fix(p_arr.shape[0])
-        try:
-            return RhsUncertainty(p_arr, uset)
+            return RhsUncertainty(P, uset) if rhs else UncertainBlock(tuple(on), P, uset)
         except (ModelError, DimensionError) as exc:
             self.fail(kw, str(exc), DIMENSION)
 
@@ -656,8 +610,11 @@ class _PendingBall:
     p: float
     radius: float
 
-    def fix(self, dim: int) -> NormBall:
-        return NormBall(self.p, self.radius, dim)
+
+def _sized(uset, dim: int) -> UncertaintySet:
+    """`uset`, or if it is a ball without `dim=`, that ball in `dim` dimensions:
+    the size of an `on` list, the columns of `P`, or a sibling member's."""
+    return NormBall(uset.p, uset.radius, dim) if isinstance(uset, _PendingBall) else uset
 
 
 def parse_model(source: str) -> Model:

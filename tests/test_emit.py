@@ -153,6 +153,18 @@ class TestEmitJson:
             with pytest.raises(roc.DimensionError, match="must be finite"):
                 roc.model_from_json(dump.replace(finite, infinite))
 
+    def test_from_json_rejects_fractional_ball_dim(self):
+        # regression: a "dim" of 2.5 loaded as 2, where the parser rejects dim=2.5;
+        # an integral float loads as the integer
+        src = "min: x + y; c: x + y <= 1 uncertain(Z=ball(p=2, r=1, dim=2));"
+        model = roc.parse_model(src)
+        dump = roc.emit_json(model)
+        assert dump.count('"dim": 2') == 1
+        assert roc.model_from_json(dump.replace('"dim": 2', '"dim": 2.0')) == model
+        with pytest.raises(roc.DimensionError,
+                           match="^norm ball: dimension must be an integer, got 2.5$"):
+            roc.model_from_json(dump.replace('"dim": 2', '"dim": 2.5'))
+
     def test_from_json_rejects_non_finite_expressions(self):
         # as the parser rejects them in .roc text; variable bounds may be infinite
         dump = roc.emit_json(roc.parse_model("var x >= 0; min: 3*x + 2; c: x + y >= 1;"))

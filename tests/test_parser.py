@@ -131,6 +131,22 @@ class TestParseModel:
         assert m.constraints[0].uncertainty.uset.dim == 3
 
 
+# each source with its argument lists in the documented key order, and reordered
+REORDERED_ARGUMENTS = [
+    ("var x; min: x; c: x <= 1 uncertain(Z=ball(p=2, r=0.5, dim=1));",
+     "var x; min: x; c: x <= 1 uncertain(Z=ball(dim=1, r=0.5, p=2));"),
+    ("var x; min: x; c: x <= 1 uncertain(Z=poly(D=[[1], [-1]], d=[1, 2]));",
+     "var x; min: x; c: x <= 1 uncertain(Z=poly(d=[1, 2], D=[[1], [-1]]));"),
+    ("var x; min: x; c: x >= 1 rhs_uncertain(P=[[1, 2]], Z=ball(p=2, r=1));",
+     "var x; min: x; c: x >= 1 rhs_uncertain(Z=ball(r=1, p=2), P=[[1, 2]]);"),
+]
+
+
+@pytest.mark.parametrize("documented, reordered", REORDERED_ARGUMENTS)
+def test_argument_order_is_free(documented, reordered):
+    assert roc.parse_model(reordered) == roc.parse_model(documented)
+
+
 # source, exact str(ParseError), span length
 DIAGNOSTICS = [
     ("min: x;\n\tc: x ? 1;", "2:7: lex: unexpected character '?'", 1),
@@ -197,6 +213,15 @@ DIAGNOSTICS = [
      "1:26: syntax: uncertain(...) needs Z=<set>", 9),
     ("var x; min: x; c: x <= 1 uncertain(on=[zz], Z=ball(p=2, r=1, dim=3));",
      "1:40: unknown-symbol: unknown variable 'zz'", 2),
+    # every argument list takes each key at most once, and fails at the second
+    ("var x; min: x; c: x <= 1 uncertain(Z=ball(p=2, r=1, dim=1), Z=ball(p=inf, r=5, dim=1));",
+     "1:61: syntax: uncertain(...) argument 'Z' given twice", 1),
+    ("var x; min: x; c: x >= 1 rhs_uncertain(P=[[1]], Z=ball(p=2, r=1), P=[[2]]);",
+     "1:67: syntax: rhs_uncertain(...) argument 'P' given twice", 1),
+    ("var x; min: x; c: x <= 1 uncertain(Z=ball(p=2, r=1, r=2));",
+     "1:53: syntax: ball(...) argument 'r' given twice", 1),
+    ("var x; min: x; c: x <= 1 uncertain(Z=ball(p=2));",
+     "1:38: syntax: ball(...) needs p=<number> and r=<number>", 4),
     # `Constraint` rejects an adaptive equality; the parser places it at the row
     ("var x; adaptive var y rule=linear; min: x; c: x + y = 1;",
      "1:44: syntax: row c: adaptive equalities are not representable", 1),
@@ -583,3 +608,45 @@ def test_mutated_fixtures_parse_or_raise_parse_error():
             assert isinstance(roc.parse_model(source), roc.Model)
         except ParseError:
             pass
+
+
+# pieces that break an argument list: a bare or missing key, a repeated
+# argument, a swapped `key=value` pair (the last piece stands for the swap)
+ARGUMENT_PIECES = ["p=", "D=", "r=", "Z=", ", Z=ball(p=2, r=1)", ", P=[[1]]", ", on=[x1]",
+                   ", dim=1", ", d=[1]", "SWAP"]
+# the `key=value` pairs of clause lists, and those of set lists
+_VALUE = r"\s*(?:\[(?:[^][]|\[[^][]*\])*\]|\w+\((?:[^()]|\([^()]*\))*\)|[^,()\s]+)"
+ARGUMENTS = [re.compile(rf"\b(?:on|P|Z)={_VALUE}"), re.compile(rf"\b(?:p|r|dim|D|d)={_VALUE}")]
+
+
+def mutate_arguments(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        piece = rng.choice(ARGUMENT_PIECES)
+        pairs = [list(pattern.finditer(text)) for pattern in ARGUMENTS]
+        if piece == "SWAP":
+            siblings = [(a, b) for found in pairs for a, b in zip(found, found[1:])
+                        if text[a.end():b.start()].strip() == ","]
+            if siblings:
+                a, b = rng.choice(siblings)
+                text = (text[:a.start()] + b.group() + text[a.end():b.start()] + a.group()
+                        + text[b.end():])
+        else:  # at the start or end of an argument, else anywhere
+            spots = [i for found in pairs for m in found for i in m.span()]
+            i = rng.choice(spots) if spots else rng.randrange(len(text) + 1)
+            text = text[:i] + piece + text[i:]
+    return text
+
+
+def test_mutated_argument_lists_parse_or_raise_parse_error():
+    # an argument list that repeats, reorders, drops or adds a key either
+    # parses or fails with a ParseError located inside the source
+    texts = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.roc"))]
+    rng = random.Random(22)
+    for _ in range(1000):
+        source = mutate_arguments(rng, rng.choice(texts))
+        try:
+            assert isinstance(roc.parse_model(source), roc.Model)
+        except ParseError as exc:
+            lines = source.split("\n")
+            assert 1 <= exc.span.line <= len(lines)
+            assert 1 <= exc.span.column <= len(lines[exc.span.line - 1]) + 1
