@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import os
 import sys
@@ -34,6 +33,9 @@ EXIT_PARSE = 2
 EXIT_NOT_OPTIMAL = 3
 EXIT_VERIFY = 4
 
+# in pipeline order; run() stops each command at its own stage
+COMMANDS = ("check", "canonicalize", "robustify", "lower", "emit", "solve", "verify", "pipeline")
+
 
 def _configure_logging():
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
@@ -41,26 +43,14 @@ def _configure_logging():
     logging.basicConfig(stream=sys.stderr, level=level, format="roc: %(levelname)s: %(message)s")
 
 
-def _write(text: str, output: str | None):
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 class _Run:
     """Pipeline stages computed lazily from one input file."""
 
     def __init__(self, args):
         self.args = args
-        self.source = _read(args.input)
-        self.model: Model = parse_model(self.source)
+        with open(args.input, encoding="utf-8") as fh:
+            source = fh.read()
+        self.model: Model = parse_model(source)
         self.pre_ldr = canonicalize(self.model)
         self.post_ldr = apply_ldr(self.pre_ldr)
 
@@ -92,6 +82,17 @@ class _Run:
             return None
         return -sol.objective if self.model.objective_sense == MAX else sol.objective
 
+    def write(self, artifact, code: int = EXIT_OK) -> int:
+        """Write an LP text, or `emit_json` of anything else, to --output or
+        stdout; return `code`."""
+        text = artifact if isinstance(artifact, str) else emit_json(artifact)
+        if self.args.output:
+            with open(self.args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
+
 
 def _oracle_gap(solutions: dict[str, Solution]) -> float | None:
     if len(solutions) < 2:
@@ -111,91 +112,61 @@ def _status_exit(solutions: dict[str, Solution]) -> int:
 
 
 def run(args) -> int:
+    """Run the pipeline up to the stage `args.command` stops at."""
     cmd = args.command
-
+    if cmd not in COMMANDS:
+        raise RocError(f"unknown command {cmd!r}")
+    r = _Run(args)
     if cmd == "check":
-        r = _Run(args)
-        summary = {
-            "roc_schema": 1,
+        model = r.model
+        return r.write({
             "kind": "check",
             "status": "ok",
-            "vars": len(r.model.vars),
-            "constraints": len(r.model.constraints),
-            "uncertain_rows": sum(1 for c in r.model.constraints if not c.is_certain()),
-            "adaptive": bool(r.model.wait_and_see()),
-        }
-        _write(json.dumps(summary, sort_keys=True, indent=2) + "\n", args.output)
-        return EXIT_OK
-
+            "vars": len(model.vars),
+            "constraints": len(model.constraints),
+            "uncertain_rows": sum(1 for c in model.constraints if not c.is_certain()),
+            "adaptive": bool(model.wait_and_see()),
+        })
     if cmd == "canonicalize":
-        _write(emit_json(_Run(args).pre_ldr), args.output)
-        return EXIT_OK
-
+        return r.write(r.pre_ldr)
     if cmd == "robustify":
-        _write(emit_json(_Run(args).robust()), args.output)
-        return EXIT_OK
-
+        return r.write(r.robust())
     if cmd in ("lower", "emit"):
-        lowered = _Run(args).lowered()
-        fmt = args.format or ("lp" if cmd == "emit" else "json")
-        if fmt == "lp":
-            _write(emit_lp(lowered, allow_soc_comment=args.allow_soc_comment), args.output)
-        else:
-            _write(emit_json(lowered), args.output)
-        return EXIT_OK
+        lowered = r.lowered()
+        if (args.format or ("lp" if cmd == "emit" else "json")) == "lp":
+            return r.write(emit_lp(lowered, allow_soc_comment=args.allow_soc_comment))
+        return r.write(lowered)
 
+    solutions, skipped = r.solve()
+    gap = _oracle_gap(solutions)
+    code = _status_exit(solutions)
+    solved = {"method": args.method, "oracle_gap": gap, "cutplane_skipped": skipped,
+              "solutions": {name: to_jsonable(sol) for name, sol in solutions.items()}}
     if cmd == "solve":
-        r = _Run(args)
-        solutions, skipped = r.solve()
-        body = {
-            "roc_schema": 1,
-            "kind": "solve",
-            "method": args.method,
-            "solutions": {name: to_jsonable(sol) for name, sol in solutions.items()},
-            "oracle_gap": _oracle_gap(solutions),
-            "cutplane_skipped": skipped,
-        }
-        _write(json.dumps(body, sort_keys=True, indent=2) + "\n", args.output)
-        return _status_exit(solutions)
+        return r.write({"kind": "solve", **solved}, code)
 
-    if cmd in ("verify", "pipeline"):
-        r = _Run(args)
-        solutions, skipped = r.solve()
-        gap = _oracle_gap(solutions)
-        code = _status_exit(solutions)
-        primary = solutions.get("reformulate") or solutions.get("cutplane")
-        report = None
-        if code == EXIT_OK:
-            report = verify_solution(
-                r.pre_ldr, primary, n=args.samples, seed=args.seed,
-                ldr=r.post_ldr.ldr, oracle_gap=gap, tol=args.tol)
-            if report.verdict != "pass":
-                code = EXIT_VERIFY
-        if cmd == "verify":
-            _write(emit_json(report) if report else json.dumps(
-                {"roc_schema": 1, "kind": "verification", "verdict": "fail",
-                 "reason": "no optimal solution"}, sort_keys=True, indent=2) + "\n",
-                args.output)
-            return code
-        body = {
-            "roc_schema": 1,
-            "kind": "pipeline",
-            "input": args.input,
-            "method": args.method,
-            "samples": args.samples,
-            "seed": args.seed,
-            "tol": args.tol,
-            "objective": r.original_objective(primary) if primary else None,
-            "solutions": {name: to_jsonable(sol) for name, sol in solutions.items()},
-            "oracle_gap": gap,
-            "cutplane_skipped": skipped,
-            "verification": to_jsonable(report) if report else None,
-            "exit_code": code,
-        }
-        _write(json.dumps(body, sort_keys=True, indent=2) + "\n", args.output)
-        return code
-
-    raise RocError(f"unknown command {cmd!r}")
+    primary = solutions.get("reformulate") or solutions.get("cutplane")
+    report = None
+    if code == EXIT_OK:
+        report = verify_solution(
+            r.pre_ldr, primary, n=args.samples, seed=args.seed,
+            ldr=r.post_ldr.ldr, oracle_gap=gap, tol=args.tol)
+        if report.verdict != "pass":
+            code = EXIT_VERIFY
+    if cmd == "verify":
+        return r.write(report or {"kind": "verification", "verdict": "fail",
+                                  "reason": "no optimal solution"}, code)
+    return r.write({
+        "kind": "pipeline",
+        **solved,
+        "input": args.input,
+        "samples": args.samples,
+        "seed": args.seed,
+        "tol": args.tol,
+        "objective": r.original_objective(primary) if primary else None,
+        "verification": to_jsonable(report) if report else None,
+        "exit_code": code,
+    }, code)
 
 
 @functools.cache
@@ -210,9 +181,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Robustification compiler: parse, reformulate, solve and verify "
                     "robust/adaptive linear models.")
     ap.add_argument("--version", action="version", version=f"roc {__version__}")
-    ap.add_argument("command",
-                    choices=["check", "canonicalize", "robustify", "lower", "emit",
-                             "solve", "verify", "pipeline"])
+    ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("input", help="input .roc model file")
     ap.add_argument("--output", "-o", help="write the artifact here instead of stdout")
     ap.add_argument("--format", choices=["lp", "json"], default=None,
@@ -241,10 +210,7 @@ def main(argv=None) -> int:
         print(f"{args.input}:{exc.span.line}:{exc.span.column}: {exc.kind}: {exc.message}",
               file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"roc: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except RocError as exc:
+    except (OSError, UnicodeDecodeError, RocError) as exc:
         print(f"roc: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,8 +1,9 @@
 """Emitters: CPLEX-LP text and canonical JSON stage dumps.
 
 LP output is deterministic (model order, 17-significant-digit numerals) so
-emissions are byte-identical across runs.  JSON dumps carry a schema version
-field `"roc_schema": 1`; see docs/schemas.md.
+emissions are byte-identical across runs.  Every JSON document, stage dump or
+CLI envelope, is stamped here with `"roc_schema": SCHEMA_VERSION`; see
+docs/schemas.md.
 """
 from __future__ import annotations
 
@@ -212,8 +213,11 @@ def _ldr_dict(ldr: LdrAssignment | None):
 
 
 def to_jsonable(obj) -> dict:
-    """Schema-stamped dict form of any pipeline stage object."""
-    if isinstance(obj, Model):
+    """Schema-stamped dict form of any pipeline stage object, or of a plain
+    `{"kind": …}` body (a CLI envelope)."""
+    if isinstance(obj, dict) and "kind" in obj:
+        body = obj
+    elif isinstance(obj, Model):
         body = {
             "kind": "model",
             "vars": [_var_dict(v) for v in obj.vars],
@@ -277,16 +281,20 @@ def emit_json(obj) -> str:
 
 
 def model_from_json(text: str) -> Model:
-    """Inverse of emit_json for kind="model" dumps."""
-    d = json.loads(text)
-    if d.get("roc_schema") != SCHEMA_VERSION:
-        raise ModelError(f"unsupported schema version {d.get('roc_schema')!r}")
-    if d.get("kind") != "model":
-        raise ModelError(f"expected a model dump, got kind {d.get('kind')!r}")
-    return Model(
-        vars=tuple(_var_from(v) for v in d["vars"]),
-        objective_sense=d["objective_sense"],
-        objective=_expr_from(d["objective"]),
-        constraints=tuple(_row_from(c) for c in d["constraints"]),
-        objective_uncertainty=_block_from(d.get("objective_uncertainty")),
-    )
+    """Inverse of emit_json for kind="model" dumps; a malformed dump raises
+    ModelError."""
+    try:
+        d = json.loads(text)
+        if d.get("roc_schema") != SCHEMA_VERSION:
+            raise ModelError(f"unsupported schema version {d.get('roc_schema')!r}")
+        if d.get("kind") != "model":
+            raise ModelError(f"expected a model dump, got kind {d.get('kind')!r}")
+        return Model(
+            vars=tuple(_var_from(v) for v in d["vars"]),
+            objective_sense=d["objective_sense"],
+            objective=_expr_from(d["objective"]),
+            constraints=tuple(_row_from(c) for c in d["constraints"]),
+            objective_uncertainty=_block_from(d.get("objective_uncertainty")),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ModelError(f"malformed model dump: {type(exc).__name__}: {exc}") from exc

@@ -674,7 +674,7 @@ def pessimize(uset: UncertaintySet, w: np.ndarray) -> PessimizationResult:
         rho = uset.radius
         if rho == 0.0 or not w.any():
             z = np.zeros(uset.dim)
-            return PessimizationResult(z, float(rho * vector_norm(w, dual_norm(uset.p)) if w.any() else 0.0))
+            return PessimizationResult(z, 0.0)
         if uset.p == INF:
             z = rho * np.sign(w)
         elif uset.p == 1.0:
@@ -759,7 +759,7 @@ def _norm_generator(row: NormRow) -> tuple:
 
 
 def _cutting_loop(kind: str, master: DeterministicModel, gens: list[tuple],
-                  feas_tol: float, max_rounds: int) -> Solution:
+                  feas_tol: float) -> Solution:
     """Enforce each generator, the semi-infinite row (base, on, P, c, Z, rhs):
     base(x) + z^T (P^T x_on + c) <= rhs for all z in Z, by cuts on `master`.
 
@@ -784,7 +784,7 @@ def _cutting_loop(kind: str, master: DeterministicModel, gens: list[tuple],
         for v, coeff in base.terms:
             g[lp.index[v]] = coeff
         rows.append((g, np.array([lp.index[v] for v in on], dtype=int), P, c, uset, rhs))
-    for round_no in range(1, max_rounds + 1):
+    for round_no in range(1, MAX_ROUNDS + 1):
         status, pivots, origin = lp.solve()
         if status != OPTIMAL:
             return lp.solution(status, pivots)
@@ -818,12 +818,11 @@ def _cutting_loop(kind: str, master: DeterministicModel, gens: list[tuple],
                   kind, round_no, objective, len(cuts), evicted, origin, pivots)
         if not cuts:
             return lp.solution(OPTIMAL, round_no)
-    log.warning("%s cutting loop hit the round limit (%d)", kind, max_rounds)
-    return lp.solution(ITERATION_LIMIT, max_rounds)
+    log.warning("%s cutting loop hit the round limit (%d)", kind, MAX_ROUNDS)
+    return lp.solution(ITERATION_LIMIT, MAX_ROUNDS)
 
 
-def solve_deterministic(model: DeterministicModel, feas_tol: float = FEAS_TOL,
-                        max_rounds: int = MAX_ROUNDS) -> Solution:
+def solve_deterministic(model: DeterministicModel, feas_tol: float = FEAS_TOL) -> Solution:
     """Solve a lowered model; norm rows are enforced by outer cuts.
 
     Each violated norm row t >= ||w(x)||_q contributes the supporting cut
@@ -833,11 +832,10 @@ def solve_deterministic(model: DeterministicModel, feas_tol: float = FEAS_TOL,
     if not model.soc_rows:
         return simplex_solve(model)
     gens = [_norm_generator(row) for row in model.soc_rows]
-    return _cutting_loop("cone", replace(model, soc_rows=()), gens, feas_tol, max_rounds)
+    return _cutting_loop("cone", replace(model, soc_rows=()), gens, feas_tol)
 
 
-def cutting_plane_solve(model: CanonicalModel, feas_tol: float = FEAS_TOL,
-                        max_rounds: int = MAX_ROUNDS) -> Solution:
+def cutting_plane_solve(model: CanonicalModel, feas_tol: float = FEAS_TOL) -> Solution:
     """Pessimization-based solve of a canonical robust model.
 
     The master LP holds the certain rows plus the nominal (z = 0) version of
@@ -855,4 +853,4 @@ def cutting_plane_solve(model: CanonicalModel, feas_tol: float = FEAS_TOL,
              row.uncertainty.uset, row.rhs) for row in model.rows if row.uncertainty is not None]
     master = DeterministicModel(model.vars, model.objective,
                                 tuple(replace(row, uncertainty=None) for row in model.rows))
-    return _cutting_loop("cutplane", master, gens, feas_tol, max_rounds)
+    return _cutting_loop("cutplane", master, gens, feas_tol)

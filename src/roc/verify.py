@@ -251,8 +251,7 @@ def sample_set(uset: UncertaintySet, n: int, seed: int) -> np.ndarray:
 def verify_solution(model: CanonicalModel, sol: Solution, n: int, seed: int,
                     ldr: LdrAssignment | None = None,
                     oracle_gap: float | None = None,
-                    tol: float = 1e-6,
-                    feas_tol: float = FEAS_TOL) -> VerificationReport:
+                    tol: float = 1e-6) -> VerificationReport:
     """Check every row of `model`: certain rows and here-and-now bounds once
     at the solution, uncertain rows at sampled and stress points.
 
@@ -272,7 +271,7 @@ def verify_solution(model: CanonicalModel, sol: Solution, n: int, seed: int,
         nonlocal violations, max_violation
         if excess.size:
             max_violation = max(max_violation, float(excess.max()))
-            violations += int(np.count_nonzero(excess > feas_tol))
+            violations += int(np.count_nonzero(excess > FEAS_TOL))
 
     here = [v for v in model.vars if v.stage == HERE_AND_NOW]
     x = np.array([values[v.id] for v in here])

@@ -73,6 +73,82 @@ PIPELINE_SCHEMA = {
 }
 
 
+SOLUTION_SCHEMA = {
+    "type": "object",
+    "required": ["roc_schema", "kind", "status", "objective", "values", "iterations"],
+    "additionalProperties": False,
+    "properties": {
+        "roc_schema": {"const": 1},
+        "kind": {"const": "solution"},
+        "status": {"enum": ["optimal", "infeasible", "unbounded", "iteration-limit"]},
+        "objective": {"type": ["number", "null"]},
+        "values": {"type": "object", "additionalProperties": {"type": "number"}},
+        "iterations": {"type": "integer"},
+    },
+}
+
+CHECK_SCHEMA = {
+    "type": "object",
+    "required": ["roc_schema", "kind", "status", "vars", "constraints", "uncertain_rows",
+                 "adaptive"],
+    "additionalProperties": False,
+    "properties": {
+        "roc_schema": {"const": 1},
+        "kind": {"const": "check"},
+        "status": {"const": "ok"},
+        "vars": {"type": "integer"},
+        "constraints": {"type": "integer"},
+        "uncertain_rows": {"type": "integer"},
+        "adaptive": {"type": "boolean"},
+    },
+}
+
+SOLVE_SCHEMA = {
+    "type": "object",
+    "required": ["roc_schema", "kind", "method", "solutions", "oracle_gap", "cutplane_skipped"],
+    "additionalProperties": False,
+    "properties": {
+        "roc_schema": {"const": 1},
+        "kind": {"const": "solve"},
+        "method": {"enum": ["reformulate", "cutplane", "both"]},
+        "solutions": {"type": "object", "additionalProperties": SOLUTION_SCHEMA},
+        "oracle_gap": {"type": ["number", "null"]},
+        "cutplane_skipped": {"type": ["string", "null"]},
+    },
+}
+
+# a report, or the failure form when no method solved to optimality
+VERIFICATION_SCHEMA = {"oneOf": [
+    {
+        "type": "object",
+        "required": ["roc_schema", "kind", "samples", "violations", "max_violation",
+                     "oracle_gap", "seed", "verdict"],
+        "additionalProperties": False,
+        "properties": {
+            "roc_schema": {"const": 1},
+            "kind": {"const": "verification"},
+            "samples": {"type": "integer"},
+            "violations": {"type": "integer"},
+            "max_violation": {"type": "number"},
+            "oracle_gap": {"type": ["number", "null"]},
+            "seed": {"type": "integer"},
+            "verdict": {"enum": ["pass", "fail"]},
+        },
+    },
+    {
+        "type": "object",
+        "required": ["roc_schema", "kind", "verdict", "reason"],
+        "additionalProperties": False,
+        "properties": {
+            "roc_schema": {"const": 1},
+            "kind": {"const": "verification"},
+            "verdict": {"const": "fail"},
+            "reason": {"type": "string"},
+        },
+    },
+]}
+
+
 def run_cli(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr()
@@ -214,6 +290,21 @@ class TestExitCodes:
     def test_missing_file_exit_1(self, capsys):
         assert main(["check", str(FIXTURES / "nope.roc")]) == 1
 
+    def test_directory_input_exit_1(self, capsys, tmp_path):
+        # regression: an IsADirectoryError traceback
+        assert main(["check", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("roc: error: ") and err.count("\n") == 1
+
+    def test_non_utf8_input_exit_1(self, capsys, tmp_path):
+        # regression: a UnicodeDecodeError traceback
+        path = tmp_path / "m.roc"
+        path.write_bytes(b"min: x;\nc: x <= 1; # caf\xe9\n")
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("roc: error: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
+
     def test_cutplane_on_intersection_exit_1(self, capsys):
         assert main(["solve", INTERSECT, "--method", "cutplane"]) == 1
 
@@ -252,6 +343,32 @@ class TestArtifacts:
         assert [row["id"] for row in equalities] == ["s1", "s2", "s3", "s4",
                                                       "d1", "d2", "d3", "d4"]
         assert not any("uncertainty" in row or "adaptive" in row for row in equalities)
+
+    def test_envelopes_validate(self, capsys):
+        for path in (EX1, DIET, COVER2, INTERSECT):
+            for command, schema in (("check", CHECK_SCHEMA), ("solve", SOLVE_SCHEMA),
+                                    ("verify", VERIFICATION_SCHEMA)):
+                _, out = run_cli(capsys, command, path, "--samples", "100")
+                jsonschema.validate(json.loads(out), schema)
+        # diet.roc is infeasible: verify prints the failure form
+        code, out = run_cli(capsys, "verify", DIET)
+        assert code == 3
+        assert json.loads(out) == {"roc_schema": 1, "kind": "verification", "verdict": "fail",
+                                   "reason": "no optimal solution"}
+
+    def test_every_document_carries_the_schema_version(self, capsys, monkeypatch):
+        # emit stamps every JSON document the CLI prints, envelopes included
+        import roc.emit
+
+        monkeypatch.setattr(roc.emit, "SCHEMA_VERSION", 99)
+        for command in ("check", "canonicalize", "robustify", "lower", "emit", "solve",
+                        "verify", "pipeline"):
+            for path in (EX1, DIET):
+                _, out = run_cli(capsys, command, path, "--format", "json", "--samples", "50")
+                doc = json.loads(out)
+                nested = [*doc.get("solutions", {}).values(), doc.get("verification") or {}]
+                assert doc["roc_schema"] == 99, (command, path)
+                assert all(d.get("roc_schema", 99) == 99 for d in nested), (command, path)
 
     def test_emit_lp_default(self, capsys, tmp_path):
         out_file = tmp_path / "ex1.lp"

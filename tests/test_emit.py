@@ -165,6 +165,20 @@ class TestEmitJson:
                            match="^norm ball: dimension must be an integer, got 2.5$"):
             roc.model_from_json(dump.replace('"dim": 2', '"dim": 2.5'))
 
+    @pytest.mark.parametrize("mutate, escaped", [
+        (lambda d: d["constraints"][0]["uncertainty"]["set"].update(dim=None), "TypeError"),
+        (lambda d: d["constraints"][0]["uncertainty"]["set"].pop("r"), "KeyError"),
+        (lambda d: d.pop("vars"), "KeyError"),
+        (lambda d: d["vars"][0].update(lower="minus"), "ValueError"),
+        (lambda d: d["constraints"][0]["lhs"].update(terms=[1, 2]), "AttributeError"),
+    ], ids=["dim-null", "r-missing", "vars-missing", "lower-text", "terms-list"])
+    def test_from_json_malformed_dump_is_model_error(self, mutate, escaped):
+        # regression: each escaped as a bare Python exception
+        d = json.loads(roc.emit_json(roc.parse_model(fixture_text("ex1.roc"))))
+        mutate(d)
+        with pytest.raises(roc.ModelError, match=f"^malformed model dump: {escaped}: "):
+            roc.model_from_json(json.dumps(d))
+
     def test_from_json_rejects_non_finite_expressions(self):
         # as the parser rejects them in .roc text; variable bounds may be infinite
         dump = roc.emit_json(roc.parse_model("var x >= 0; min: 3*x + 2; c: x + y >= 1;"))
@@ -181,3 +195,6 @@ class TestEmitJson:
             roc.model_from_json(roc.emit_json(pre))
         with pytest.raises(roc.ModelError):
             roc.model_from_json('{"roc_schema": 99, "kind": "model"}')
+        for text in ("[1]", "{"):  # not an object; not JSON
+            with pytest.raises(roc.ModelError, match="^malformed model dump: "):
+                roc.model_from_json(text)
