@@ -48,7 +48,9 @@ class _Run:
 
     def __init__(self, args):
         self.args = args
-        with open(args.input, encoding="utf-8") as fh:
+        # a byte that is not UTF-8 is read as a lone surrogate, which the
+        # parser reports as a `lex` error where it reaches it
+        with open(args.input, encoding="utf-8", errors="surrogateescape") as fh:
             source = fh.read()
         self.model: Model = parse_model(source)
         self.pre_ldr = canonicalize(self.model)
@@ -210,7 +212,7 @@ def main(argv=None) -> int:
         print(f"{args.input}:{exc.span.line}:{exc.span.column}: {exc.kind}: {exc.message}",
               file=sys.stderr)
         return EXIT_PARSE
-    except (OSError, UnicodeDecodeError, RocError) as exc:
+    except (OSError, RocError) as exc:
         print(f"roc: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -2,8 +2,11 @@
 
 Statements are `;`-terminated: variable declarations, one objective, and
 named constraints with optional uncertainty annotations.  See
-docs/grammar.md for the full EBNF.  Parsing is fail-fast: the first
-offending token raises a ParseError carrying its source span.
+docs/grammar.md for the full EBNF.  Parsing is one fail-fast pass: each
+declaration and each `Constraint` is built at the statement that defines it,
+and the lexer stops at its first bad character, which is reported only when
+the parser reaches it, so the first error in the source raises a ParseError
+carrying its source span.
 
 The lexer is one compiled pattern.  Four shapes that make up almost every
 token of a large model lex as one compound token each, read whole only by
@@ -56,13 +59,15 @@ class ParseError(RocError):
 
 
 class Token(NamedTuple):
-    kind: str  # "ident", "number", "punct", "eof" or a compound kind (module docstring)
+    kind: str  # "ident", "number", "punct", "eof", "bad" or a compound kind (module docstring)
     text: str
     offset: int  # into the source; the span is computed only for errors
 
 
 # One alternative per token kind, tried in order; `bad` catches a number run
-# with two dots (`1.2.3`) or any other single character.  The compounds hold
+# with two dots (`1.2.3`) or any other single character, such as a byte that
+# is not UTF-8 (U+DC80 to U+DCFF as `surrogateescape` decodes it, which also
+# ends a comment, so a bad byte is located there too).  The compounds hold
 # only `skip`-class spaces between their parts, and names that start with an
 # ASCII letter, so a list or sum that holds a comment, `inf`, a detached sign
 # in a list or a non-ASCII name lexes element by element:
@@ -92,7 +97,7 @@ def _lexer(compounds: bool) -> re.Pattern:
   | (?P<matrix>\[{s}{numbers}(?:{s},{s}{numbers})*{s}\])
   | (?P<numbers>{numbers})""" if compounds else ""
     return re.compile(rf"""
-    (?P<skip>[ \t\r\n]+|\#[^\n]*){compound}
+    (?P<skip>[ \t\r\n]+|\#[^\n\udc80-\udcff]*){compound}
   | (?P<number>{_NUMBER})
   | (?P<ident>[^\W\d_]\w*)
   | (?P<punct><=|>=|[;:,=()\[\]+\-*])
@@ -109,6 +114,8 @@ def _span(source: str, offset: int, length: int) -> SourceSpan:
 
 
 def _tokenize(source: str) -> list[Token]:
+    """The tokens of `source`, ending in an `eof` token or at its first bad
+    character or number literal: a `bad` token, which peek() reports."""
     tokens = []
     for m in _TOKEN.finditer(source):
         kind, text = m.lastgroup, m.group()
@@ -116,18 +123,23 @@ def _tokenize(source: str) -> list[Token]:
             continue
         if kind == "ident" and not text[0].isalpha():  # \w also matches `²`, `½`
             kind, text = "bad", text[0]
-        if kind == "bad":
-            if len(text) > 1:
-                message = f"bad number literal {text!r}"
-            elif text in "<>":
-                message = f"strict inequality {text!r} is not supported; use {text}="
-            else:
-                message = f"unexpected character {text!r}"
-            raise ParseError(_span(source, m.start(), len(text)), LEX, message)
         tokens.append(Token(kind, text, m.start()))
+        if kind == "bad":
+            return tokens
     end = source.find("#", source.rfind("\n") + 1)  # input ends where a last-line comment starts
     tokens.append(Token("eof", "", len(source) if end < 0 else end))
     return tokens
+
+
+def _lex_message(text: str) -> str:
+    """The diagnostic for a `bad` token."""
+    if len(text) > 1:
+        return f"bad number literal {text!r}"
+    if "\udc80" <= text <= "\udcff":  # a byte that is not UTF-8, read by `surrogateescape`
+        return f"invalid UTF-8 byte 0x{ord(text) - 0xdc00:02x}"
+    if text in "<>":
+        return f"strict inequality {text!r} is not supported; use {text}="
+    return f"unexpected character {text!r}"
 
 
 def _what(key: str | None) -> str:
@@ -152,6 +164,8 @@ class _Parser:
         tok = self.tokens[self.pos]
         if tok.kind in ("terms", "idents", "matrix", "numbers"):
             tok = self.split()
+        elif tok.kind == "bad":  # where the lexer stopped
+            self.fail(tok, _lex_message(tok.text), LEX)
         return tok
 
     def next(self) -> Token:
@@ -214,6 +228,13 @@ class _Parser:
             self.fail(tok, f"expected {what}, found {tok.text or 'end of input'!r}")
         if tok.text in KEYWORDS:
             self.fail(tok, f"keyword {tok.text!r} cannot be used as {what}")
+        return tok
+
+    def new_name(self, what: str, taken: dict) -> Token:
+        """The name of a new `what`; a name already in `taken` fails here."""
+        tok = self.ident(f"a {what} name")
+        if tok.text in taken:
+            self.fail(tok, f"{what} {tok.text!r} declared twice")
         return tok
 
     # ----------------------------------------------------------- components
@@ -432,46 +453,34 @@ class _Parser:
 
     def parse(self) -> Model:
         decls: dict[str, VariableDecl] = {}
-        order: list[str] = []
-        objective: tuple[str, LinExpr, object] | None = None
-        constraints: list[tuple] = []
-
-        def declare(tok: Token, **kwargs) -> None:
-            if tok.text in decls:
-                self.fail(tok, f"variable {tok.text!r} declared twice")
-            decls[tok.text] = VariableDecl(tok.text, **kwargs)
-            order.append(tok.text)
+        rows: dict[str, Constraint] = {}
+        objective: tuple[str, LinExpr, UncertainBlock | None] | None = None
 
         def auto_declare(expr: LinExpr) -> None:
             for v in expr.vars():
                 if v not in decls:
                     decls[v] = VariableDecl(v)
-                    order.append(v)
 
         while self.peek().kind != "eof":
             tok = self.peek()
-            if tok.text == "var":
-                self.next()
-                name = self.ident("a variable name")
+            if tok.text in ("var", "adaptive"):
+                adaptive = self.next().text == "adaptive"
+                if adaptive:
+                    self.expect("var")
+                name = self.new_name("variable", decls)
                 lo, hi = self.bounds()
+                rule = None
+                if adaptive:
+                    self.expect("rule")
+                    self.expect("=")
+                    tok = self.next()
+                    if tok.text not in ("linear", "static"):
+                        self.fail(tok, f"unknown decision rule {tok.text!r} (linear or static)")
+                    rule = tok.text
                 self.expect(";")
+                stage = WAIT_AND_SEE if adaptive else HERE_AND_NOW
                 try:
-                    declare(name, lower=lo, upper=hi)
-                except ModelError as exc:
-                    self.fail(name, str(exc))
-            elif tok.text == "adaptive":
-                self.next()
-                self.expect("var")
-                name = self.ident("a variable name")
-                lo, hi = self.bounds()
-                self.expect("rule")
-                self.expect("=")
-                rule = self.next()
-                if rule.text not in ("linear", "static"):
-                    self.fail(rule, f"unknown decision rule {rule.text!r} (linear or static)")
-                self.expect(";")
-                try:
-                    declare(name, stage=WAIT_AND_SEE, lower=lo, upper=hi, rule=rule.text)
+                    decls[name.text] = VariableDecl(name.text, stage, lo, hi, rule)
                 except ModelError as exc:
                     self.fail(name, str(exc))
             elif tok.text in ("min", "max"):
@@ -481,13 +490,11 @@ class _Parser:
                 self.expect(":")
                 expr = self.linexpr()
                 auto_declare(expr)
-                block = None
-                if self.peek().text == "uncertain":
-                    block = self.clause(expr, decls)
+                block = self.clause(expr, decls) if self.peek().text == "uncertain" else None
                 self.expect(";")
                 objective = (tok.text, expr, block)
             elif tok.kind == "ident":
-                name = self.ident("a constraint name")
+                name = self.new_name("constraint", rows)
                 self.expect(":")
                 lhs = self.linexpr()
                 sense_tok = self.next()
@@ -504,14 +511,24 @@ class _Parser:
                 elif self.peek().text == "rhs_uncertain":
                     rub = self.clause(lhs, decls, sense_tok)
                 self.expect(";")
-                constraints.append((name, lhs, sense_tok.text, block, rub))
+                here = {v: c for v, c in lhs.terms if decls[v].stage == HERE_AND_NOW}
+                wait = {v: c for v, c in lhs.terms if decls[v].stage == WAIT_AND_SEE}
+                try:
+                    rows[name.text] = Constraint(name.text, LinExpr.of(here, lhs.constant),
+                                                 sense_tok.text, 0.0, block,
+                                                 LinExpr.of(wait) if wait else None, rub)
+                except ModelError as exc:
+                    self.fail(name, str(exc))
             else:
                 self.fail(tok, f"expected a statement, found {tok.text!r}")
 
         if objective is None:
             self.fail(self.peek(), "missing objective (min: ... or max: ...)")
-
-        return self.build(decls, order, objective, constraints)
+        sense, expr, block = objective
+        try:
+            return Model(tuple(decls.values()), sense, expr, tuple(rows.values()), block)
+        except ModelError as exc:
+            self.fail(_START, str(exc))
 
     def bounds(self) -> tuple[float, float]:
         lo, hi = -math.inf, math.inf
@@ -567,41 +584,6 @@ class _Parser:
         except (ModelError, DimensionError) as exc:
             self.fail(kw, str(exc), DIMENSION)
 
-    def build(self, decls, order, objective, constraints) -> Model:
-        sense, obj_expr, obj_block = objective
-        rows = []
-        for name, lhs, row_sense, block, rub in constraints:
-            here = {v: c for v, c in lhs.terms if decls[v].stage == HERE_AND_NOW}
-            wait = {v: c for v, c in lhs.terms if decls[v].stage == WAIT_AND_SEE}
-            adaptive = LinExpr.of(wait) if wait else None
-            try:
-                rows.append(Constraint(
-                    id=name.text,
-                    lhs=LinExpr.of(here, lhs.constant),
-                    sense=row_sense,
-                    rhs=0.0,
-                    uncertainty=block,
-                    adaptive=adaptive,
-                    rhs_uncertainty=rub,
-                ))
-            except ModelError as exc:
-                self.fail(name, str(exc))
-        seen = set()
-        for name, *_ in constraints:
-            if name.text in seen:
-                self.fail(name, f"constraint {name.text!r} declared twice")
-            seen.add(name.text)
-        try:
-            return Model(
-                vars=tuple(decls[v] for v in order),
-                objective_sense=sense,
-                objective=obj_expr,
-                constraints=tuple(rows),
-                objective_uncertainty=obj_block,
-            )
-        except ModelError as exc:
-            self.fail(_START, str(exc))
-
 
 @dataclass(frozen=True)
 class _PendingBall:
@@ -625,10 +607,11 @@ def parse_model(source: str) -> Model:
 def parse_uncertainty_spec(source: str) -> UncertaintySet:
     """Parse a standalone uncertainty-set expression such as `ball(p=2, r=1, dim=3)`."""
     parser = _Parser(source)
+    kw = parser.peek()
     uset = parser.uncertainty_set()
     tok = parser.peek()
     if tok.kind != "eof":
         parser.fail(tok, f"trailing input after set expression: {tok.text!r}")
     if isinstance(uset, _PendingBall):
-        parser.fail(_START, "ball needs dim= when used outside a constraint", DIMENSION)
+        parser.fail(kw, "ball needs dim= when used outside a constraint", DIMENSION)
     return uset

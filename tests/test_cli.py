@@ -296,14 +296,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("roc: error: ") and err.count("\n") == 1
 
-    def test_non_utf8_input_exit_1(self, capsys, tmp_path):
-        # regression: a UnicodeDecodeError traceback
+    @pytest.mark.parametrize("data, diagnostic", [
+        (b"min: x;\nc: x <= 1; # caf\xe9\n", "2:17: lex: invalid UTF-8 byte 0xe9"),
+        # columns count characters, and CRLF or a lone CR ends a line
+        ("min: x;\r\nc: x <= 1; # café\rd: x >= 0; # ½ ".encode() + b"\xff",
+         "3:16: lex: invalid UTF-8 byte 0xff"),
+        # the first error in the source is the one reported
+        (b"min: x x;\n# caf\xe9\n", "1:8: syntax: expected ';', found 'x'"),
+    ], ids=["latin-1", "multibyte-crlf-cr", "after-syntax-error"])
+    def test_non_utf8_input_exit_2(self, capsys, tmp_path, data, diagnostic):
+        # a byte that is not UTF-8 is a located lex error
         path = tmp_path / "m.roc"
-        path.write_bytes(b"min: x;\nc: x <= 1; # caf\xe9\n")
-        assert main(["check", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("roc: error: 'utf-8' codec can't decode byte 0xe9")
-        assert err.count("\n") == 1
+        path.write_bytes(data)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"{path}:{diagnostic}\n"
 
     def test_cutplane_on_intersection_exit_1(self, capsys):
         assert main(["solve", INTERSECT, "--method", "cutplane"]) == 1

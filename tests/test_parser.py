@@ -225,6 +225,15 @@ DIAGNOSTICS = [
     # `Constraint` rejects an adaptive equality; the parser places it at the row
     ("var x; adaptive var y rule=linear; min: x; c: x + y = 1;",
      "1:44: syntax: row c: adaptive equalities are not representable", 1),
+    # the first error in the source is the one reported: a repeated name fails
+    # at the name, a row at its `;`, a bad character only once it is reached
+    ("var x; var x >= ;", "1:12: syntax: variable 'x' declared twice", 1),
+    ("var x>=0; min: x; c: x <= 1; c: x <= ;", "1:30: syntax: constraint 'c' declared twice", 1),
+    ("var x>=0; adaptive var y >= 0 rule=linear; min: x; c: x + y = 1; d: x <= ;",
+     "1:52: syntax: row c: adaptive equalities are not representable", 1),
+    ("min: x x;\nc: x ? 1;", "1:8: syntax: expected ';', found 'x'", 1),
+    # a byte that is not UTF-8, as `surrogateescape` decodes it, even in a comment
+    ("min: x; # caf\udce9", "1:14: lex: invalid UTF-8 byte 0xe9", 1),
 ]
 
 
@@ -370,10 +379,8 @@ def test_compounds_split_into_element_tokens():
     for source in lexer_sources():
         expected, bad = element_tokens(source)
         if bad is not None:
-            with pytest.raises(ParseError) as exc:
-                _tokenize(source)
-            line, column = source.count("\n", 0, bad) + 1, bad - source.rfind("\n", 0, bad)
-            assert (exc.value.span.line, exc.value.span.column) == (line, column)
+            last = _tokenize(source)[-1]
+            assert (last.kind, last.offset) == ("bad", bad)
             continue
         parser = _Parser(source)
         compounds += sum(t.kind in ("terms", "idents", "matrix", "numbers") for t in parser.tokens)
@@ -557,6 +564,12 @@ class TestParseUncertaintySpec:
         with pytest.raises(ParseError) as exc:
             roc.parse_uncertainty_spec("ball(p=2, r=1)")
         assert exc.value.kind == "dimension"
+
+    def test_ball_without_dim_located_at_ball(self):
+        with pytest.raises(ParseError) as exc:
+            roc.parse_uncertainty_spec("# set\nball(p=2, r=1)")
+        assert str(exc.value) == "2:1: dimension: ball needs dim= when used outside a constraint"
+        assert exc.value.span.length == 4
 
 
 class TestRoundTrip:
