@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .model import (GE, HERE_AND_NOW, LE, MAX, MIN, WAIT_AND_SEE,
+from .model import (GE, HERE_AND_NOW, LE, MAX, WAIT_AND_SEE,
                     Constraint, LdrAssignment, LinExpr, Model, RhsUncertainty,
                     UncertainBlock, VariableDecl, expr_negate)
 
@@ -45,14 +45,6 @@ class CanonicalModel:
     def wait_and_see(self) -> tuple[VariableDecl, ...]:
         return tuple(v for v in self.vars if v.stage == WAIT_AND_SEE)
 
-    def to_model(self) -> Model:
-        return Model(
-            vars=self.vars,
-            objective_sense=MIN,
-            objective=self.objective,
-            constraints=self.rows,
-        )
-
 
 def _split_objective(model: Model) -> tuple[LinExpr, LinExpr]:
     """Separate here-and-now from wait-and-see terms of the objective."""
@@ -79,13 +71,10 @@ def _flip_row(row: Constraint) -> Constraint:
 def canonicalize(model: Model | CanonicalModel) -> CanonicalModel:
     """Reduce a parsed model to canonical form.
 
-    Re-canonicalizing a canonical model is a structural no-op.
+    A canonical model is returned as it is, the same object.
     """
     if isinstance(model, CanonicalModel):
-        ldr = model.ldr
-        model = model.to_model()
-    else:
-        ldr = None
+        return model
 
     variables = list(model.vars)
     obj_here, obj_wait = _split_objective(model)
@@ -142,4 +131,4 @@ def canonicalize(model: Model | CanonicalModel) -> CanonicalModel:
             )
         rows.append(row)
 
-    return CanonicalModel(vars=tuple(variables), objective=objective, rows=tuple(rows), ldr=ldr)
+    return CanonicalModel(vars=tuple(variables), objective=objective, rows=tuple(rows))

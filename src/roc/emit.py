@@ -7,6 +7,7 @@ docs/schemas.md.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -261,15 +262,7 @@ def to_jsonable(obj) -> dict:
             "iterations": obj.iterations,
         }
     elif isinstance(obj, VerificationReport):
-        body = {
-            "kind": "verification",
-            "samples": obj.samples,
-            "violations": obj.violations,
-            "max_violation": obj.max_violation,
-            "oracle_gap": obj.oracle_gap,
-            "seed": obj.seed,
-            "verdict": obj.verdict,
-        }
+        body = {"kind": "verification", **dataclasses.asdict(obj)}
     else:
         raise ModelError(f"cannot serialize object of type {type(obj).__name__}")
     return {"roc_schema": SCHEMA_VERSION, **body}

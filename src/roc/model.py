@@ -151,13 +151,6 @@ class UncertaintySet:
         raise NotImplementedError
 
 
-def vector_norm(z: np.ndarray, p: float) -> float:
-    z = np.asarray(z, dtype=float)
-    if p == INF:
-        return float(np.max(np.abs(z))) if z.size else 0.0
-    return float(np.sum(np.abs(z) ** p) ** (1.0 / p))
-
-
 @dataclass(frozen=True)
 class NormBall(UncertaintySet):
     """{z : ||z||_p <= radius} in R^dim."""
@@ -188,12 +181,12 @@ class NormBall(UncertaintySet):
         return self.L
 
     def contains(self, z, tol: float = 1e-9) -> bool:
-        return vector_norm(z, self.p) <= self.radius + tol
+        return bool(np.linalg.norm(z, self.p) <= self.radius + tol)
 
 
 @dataclass(frozen=True, eq=False)
 class Polyhedral(UncertaintySet):
-    """{z : D z <= d}; must be bounded and contain 0 (d >= 0)."""
+    """{z : D z <= d}; must contain 0 (d >= 0, checked here) and be bounded."""
 
     D: np.ndarray
     d: np.ndarray
@@ -206,6 +199,8 @@ class Polyhedral(UncertaintySet):
         if self.D.shape[0] != self.d.shape[0]:
             raise DimensionError(
                 f"polyhedral set: D has {self.D.shape[0]} rows but d has {self.d.shape[0]} entries")
+        if not np.all(self.d >= 0.0):
+            raise ModelError("polyhedral set must contain 0 (needs d >= 0)")
 
     @property
     def dim(self) -> int:
@@ -213,9 +208,6 @@ class Polyhedral(UncertaintySet):
 
     def contains(self, z, tol: float = 1e-9) -> bool:
         return bool(np.all(self.D @ np.asarray(z, dtype=float) <= self.d + tol))
-
-    def contains_zero(self) -> bool:
-        return bool(np.all(self.d >= 0.0))
 
     @cached_property
     def extremes(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:

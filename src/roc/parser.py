@@ -422,10 +422,7 @@ class _Parser:
             # reuse the extremes solved here
             key = (pset.D.tobytes(), pset.d.tobytes(), pset.D.shape)
             if key not in self.polys:
-                # boundedness via 2L coordinate LPs; 0 in Z is exactly d >= 0
-                if not pset.contains_zero():
-                    self.fail(tok, "polyhedral set must contain 0 (needs d >= 0)", DIMENSION)
-                try:
+                try:  # boundedness via 2L coordinate LPs
                     pset.extremes
                 except SolverError as exc:
                     self.fail(tok, str(exc), UNBOUNDED_SET)

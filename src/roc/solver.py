@@ -34,7 +34,7 @@ import numpy as np
 from .canonicalize import CanonicalModel
 from .errors import SolverError, UnsupportedSetError
 from .model import (EQ, INF, LE, LinExpr, MinkowskiSum, NormBall, Polyhedral,
-                    UncertaintySet, vector_norm)
+                    UncertaintySet)
 from .lower import DeterministicModel, NormRow
 from .rc import NameGen, dual_norm, support_conjugate
 
@@ -144,8 +144,6 @@ class _Tableau:
         self.T = np.zeros((self.m + 1, n + 1))
         self.cost = np.zeros(n)
         self.sgn = np.zeros(n)
-        self.blo = np.zeros(self.m)
-        self.bup = np.zeros(self.m)
         self.factored = basis.copy()
         self.factored_xn = self.xn.copy()
         self.every = REFACTOR_EVERY
@@ -174,12 +172,9 @@ class _Tableau:
 
     def _factor(self):
         basis, lo, up = self.basis, self.lo, self.up
-        # the bounds of each row's basic column, and a pricing sign per
-        # column: -1 where a nonbasic column can rise, +1 where it rests at
-        # its upper bound, 0 for basic and fixed columns; free nonbasic
-        # columns can move either way
-        np.take(lo, basis, out=self.blo)
-        np.take(up, basis, out=self.bup)
+        # a pricing sign per column: -1 where a nonbasic column can rise, +1
+        # where it rests at its upper bound, 0 for basic and fixed columns;
+        # free nonbasic columns can move either way
         self.sgn[:] = np.where(self.xn == up, 1.0, -1.0)
         self.sgn[lo == up] = 0.0
         self.sgn[basis] = 0.0
@@ -206,9 +201,10 @@ class _Tableau:
         # would make degenerate ties inexact, cutting Bland's anticycling out
         # of the loop
         x = self.T[:self.m, -1]
-        x[(x > self.blo - FEAS_TOL) & (x < self.blo + DEGEN_TOL)] = 0.0
-        near = (x > self.bup - DEGEN_TOL) & (x < self.bup + FEAS_TOL)
-        x[near] = self.bup[near]
+        blo, bup = self.lo[self.basis], self.up[self.basis]
+        x[(x > blo - FEAS_TOL) & (x < blo + DEGEN_TOL)] = 0.0
+        near = (x > bup - DEGEN_TOL) & (x < bup + FEAS_TOL)
+        x[near] = bup[near]
 
     def flip(self, col: int, step: float) -> bool:
         """Move nonbasic `col` by `step` onto its other bound; the basis stays."""
@@ -234,8 +230,6 @@ class _Tableau:
             self.free = self.free[self.free != col]
         self.xn[out] = leave_at
         self.xn[col] = 0.0
-        self.blo[row] = self.lo[col]
-        self.bup[row] = self.up[col]
         self.basis[row] = col
         if self.updates + 1 >= self.every:
             return self.rebuild(self.cost)
@@ -276,8 +270,6 @@ class _Tableau:
         self.b0 = _pushed(self.b0, b)
         self.basis = _pushed(self.basis, n)
         self.factored = _pushed(self.factored, n)
-        self.blo = _pushed(self.blo, 0.0)
-        self.bup = _pushed(self.bup, up)
         self.lo = _pushed(self.lo, 0.0)
         self.up = _pushed(self.up, up)
         self.cost = _pushed(self.cost, 0.0)
@@ -311,8 +303,6 @@ class _Tableau:
         self.b0 = _deleted(self.b0, i)
         self.basis = _deleted(self.basis, pos)
         self.basis[self.basis > col] -= 1
-        self.blo = _deleted(self.blo, pos)
-        self.bup = _deleted(self.bup, pos)
         self.lo = _deleted(self.lo, col)
         self.up = _deleted(self.up, col)
         self.cost = _deleted(self.cost, col)
@@ -364,8 +354,9 @@ class _Tableau:
         visited: set[bytes] = set()
         while True:
             x = T[:m, -1]
+            blo, bup = self.lo[self.basis], self.up[self.basis]
             # positive only past a bound, and then (after _snap) by FEAS_TOL or more
-            excess = np.maximum(self.blo - x, x - self.bup)
+            excess = np.maximum(blo - x, x - bup)
             if excess.max(initial=0.0) <= 0.0:
                 if self.refresh(visited):
                     continue
@@ -374,7 +365,7 @@ class _Tableau:
             if key in visited:
                 return "the dual simplex repeated a basis", used
             row = int(excess.argmax())
-            rising = x[row] < self.blo[row]
+            rising = x[row] < blo[row]
             # how far x_row moves back toward its bounds per unit step of each
             # column in the direction its own bounds allow
             reach = T[row, :-1] * self.sgn if rising else -T[row, :-1] * self.sgn
@@ -391,7 +382,7 @@ class _Tableau:
             ratios = np.maximum(-self.gains()[cols], 0.0) / reach[cols]
             ties = cols[ratios == ratios.min()]
             col = int(ties[reach[ties].argmax()])
-            if self.pivot(row, col, self.blo[row] if rising else self.bup[row]):
+            if self.pivot(row, col, blo[row] if rising else bup[row]):
                 visited.clear()
             used += 1
 
@@ -439,10 +430,11 @@ class _Tableau:
             rising = reduced[col] < 0.0
             g = T[:m, col] if rising else -T[:m, col]  # fall of each basic value per unit step
             x = T[:m, -1]
+            blo, bup = self.lo[self.basis], self.up[self.basis]
             # each basic value falls to its lower bound or rises to its upper one
             ratios = np.full(m, INF)
-            np.divide(x - self.blo, g, out=ratios, where=g > PIVOT_TOL)
-            np.divide(x - self.bup, g, out=ratios, where=g < -PIVOT_TOL)
+            np.divide(x - blo, g, out=ratios, where=g > PIVOT_TOL)
+            np.divide(x - bup, g, out=ratios, where=g < -PIVOT_TOL)
             best = ratios.min(initial=INF)
             span = self.up[col] - self.lo[col]  # the entering column's own range
             if best == INF and span == INF:
@@ -457,7 +449,7 @@ class _Tableau:
             else:
                 ties = (ratios == best).nonzero()[0]  # exact ties: anticycling needs them exact
                 row = int(ties[self.basis[ties].argmin()])  # Bland: smallest basic index
-                rolled_back = self.pivot(row, col, 0.0 if g[row] > 0.0 else self.bup[row])
+                rolled_back = self.pivot(row, col, 0.0 if g[row] > 0.0 else bup[row])
             if rolled_back:
                 visited.clear()
             used += 1
@@ -673,20 +665,15 @@ def pessimize(uset: UncertaintySet, w: np.ndarray) -> PessimizationResult:
     if isinstance(uset, NormBall):
         rho = uset.radius
         if rho == 0.0 or not w.any():
-            z = np.zeros(uset.dim)
-            return PessimizationResult(z, 0.0)
-        if uset.p == INF:
-            z = rho * np.sign(w)
-        elif uset.p == 1.0:
+            return PessimizationResult(np.zeros(uset.dim), 0.0)
+        if uset.p == 1.0:
             z = np.zeros(uset.dim)
             i = int(np.argmax(np.abs(w)))
             z[i] = rho * np.sign(w[i])
-        elif uset.p == 2.0:
-            z = rho * w / np.linalg.norm(w)
         else:
+            # exactly rho sign(w) at p = inf (q = 1) and rho w / ||w||_2 at p = 2
             q = dual_norm(uset.p)
-            scale = vector_norm(w, q) ** (q - 1.0)
-            z = rho * np.sign(w) * np.abs(w) ** (q - 1.0) / scale
+            z = rho * np.sign(w) * np.abs(w) ** (q - 1.0) / np.linalg.norm(w, q) ** (q - 1.0)
         return PessimizationResult(z, float(w @ z))
 
     if isinstance(uset, Polyhedral):

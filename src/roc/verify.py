@@ -4,8 +4,8 @@ Random samples are drawn per set kind, each batch with array operations:
 balls exactly (uniform in the p-ball for every p), polytopes by rejection
 from their bounding box while at least 1 in 10*L candidates is kept and by
 independent hit-and-run chains of 10*L steps after that, intersections by
-batched rejection from their easiest member, and Minkowski sums as sums of
-member batches.
+batched rejection from their one member without a membership test, else
+from their easiest member, and Minkowski sums as sums of member batches.
 Deterministic stress points (axis extremes, sign-pattern corners, polytope
 vertices) carry the adversarial burden, since worst cases of linear
 functionals sit on boundary extremes.  Reports never throw on violation;
@@ -138,12 +138,26 @@ def _hit_and_run(uset: Polyhedral, n: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _rank(uset: UncertaintySet) -> int:
-    order = {"ball": 0, "poly": 1, "intersect": 2, "minkowski": 3}
-    return order.get(uset.kind, 9)
+    """-1 for a set `_inside` has no test for (a Minkowski sum, or an
+    intersection that holds one), else the cost of drawing from it."""
+    if isinstance(uset, Intersection):
+        return 2 if min(map(_rank, uset.members)) >= 0 else -1
+    return {"ball": 0, "poly": 1, "minkowski": -1}.get(uset.kind, 9)
+
+
+def _members(uset: Intersection) -> list[UncertaintySet]:
+    """The members by `_rank`: the one `uset` is drawn from comes first."""
+    members = sorted(uset.members, key=_rank)
+    if members[1:] and _rank(members[1]) < 0:
+        raise UnsupportedSetError(
+            f"cannot sample intersect({', '.join(m.kind for m in uset.members)}): more than one "
+            "member has no membership test (a Minkowski sum, or an intersection that holds one)")
+    return members
 
 
 def _inside(uset: UncertaintySet, Z: np.ndarray) -> np.ndarray:
-    """Mask of the rows of Z that lie in `uset`, at membership tolerance 1e-9."""
+    """Mask of the rows of Z that lie in `uset`, at membership tolerance 1e-9;
+    of an intersection's members, only those with a test (`_rank` >= 0)."""
     if isinstance(uset, NormBall):
         return np.linalg.norm(Z, ord=uset.p, axis=1) <= uset.radius + 1e-9
     if isinstance(uset, Polyhedral):
@@ -154,7 +168,7 @@ def _inside(uset: UncertaintySet, Z: np.ndarray) -> np.ndarray:
         return mask
     if isinstance(uset, Intersection):
         mask = np.ones(len(Z), dtype=bool)
-        for member in uset.members:
+        for member in (m for m in uset.members if _rank(m) >= 0):
             mask &= _inside(member, Z)
         return mask
     return np.array([uset.contains(z) for z in Z], dtype=bool)  # raises for Minkowski sums
@@ -178,10 +192,9 @@ def _rejection(draw, keep, n: int, block: int, cap: float = math.inf,
 
 
 def _sample_intersection(uset: Intersection, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Rejection from the easiest member; stops at n points or REJECTION_CAP
-    candidates."""
-    members = sorted(uset.members, key=_rank)
-    easiest, others = members[0], members[1:]
+    """Rejection from the first of `_members`; stops at n points or
+    REJECTION_CAP candidates."""
+    easiest, *others = _members(uset)
 
     def keep(cand):
         for member in others:
@@ -224,14 +237,13 @@ def stress_points(uset: UncertaintySet) -> np.ndarray:
     if isinstance(uset, Polyhedral):
         _, _, points = uset.extremes
         return np.vstack(points) if points else np.zeros((0, L))
-    if isinstance(uset, Intersection):
-        pool = np.vstack([stress_points(m) for m in uset.members])
+    if isinstance(uset, Intersection):  # a member without a test alone, else all members
+        first = _members(uset)[0]
+        pool = np.vstack([stress_points(m) for m in ([first] if _rank(first) < 0 else uset.members)])
         return pool[_inside(uset, pool)]
     if isinstance(uset, MinkowskiSum):
-        combos = [stress_points(m) for m in uset.members]
-        pool = []
-        for parts in itertools.islice(itertools.product(*combos), 1024):
-            pool.append(sum(parts))
+        combos = itertools.product(*(stress_points(m) for m in uset.members))
+        pool = [sum(parts) for parts in itertools.islice(combos, 1024)]
         return np.vstack(pool) if pool else np.zeros((0, L))
     raise UnsupportedSetError(f"no stress points for set kind {uset.kind!r}")
 

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 import roc
-from roc import LinExpr, canonicalize, parse_model
+from roc import LinExpr, apply_ldr, canonicalize, parse_model
 
-from support import (fixture_text, random_instance, rel_close, scipy_solve,
+from support import (FIXTURES, fixture_text, random_instance, rel_close, scipy_solve,
                      solve_canonical_both)
 
 EX1 = fixture_text("ex1.roc")
@@ -43,6 +43,12 @@ class TestStructure:
         for name in ("ex1.roc", "diet.roc", "signflip.roc", "intersect.roc"):
             pre = canonicalize(parse_model(fixture_text(name)))
             assert canonicalize(pre) == pre
+        for path in sorted(FIXTURES.glob("*.roc")):
+            if path.name == "bad_equality.roc":  # fails to parse, by design
+                continue
+            pre = canonicalize(parse_model(path.read_text()))
+            for m in (pre, apply_ldr(pre)):
+                assert canonicalize(m) is m, path.name
 
     def test_row_count_formula(self):
         # 2 "<=", 1 ">=", 1 certain "=", uncertain objective -> 2+1+1+1 rows

@@ -459,6 +459,30 @@ class TestArtifacts:
         assert "cutplane" not in report["solutions"]
         assert report["verification"]["verdict"] == "pass"
 
+    MINKOWSKI = "minkowski(ball(p=2, r=0.3, dim=2), ball(p=inf, r=0.2))"
+
+    def test_intersection_with_minkowski_member_pipeline(self, capsys, tmp_path):
+        # regression: exit 1, "membership test not supported for Minkowski
+        # sums"; the intersection is now drawn from its Minkowski member
+        path = tmp_path / "m.roc"
+        path.write_text("var x1 >= 0 <= 10; var x2 >= 0 <= 10; max: x1 + x2;\n"
+                        f"c: 3*x1 + x2 <= 10 uncertain(Z=intersect({self.MINKOWSKI}, "
+                        "ball(p=inf, r=0.5)));\n")
+        code, out = run_cli(capsys, "pipeline", str(path))
+        assert code == 0
+        assert json.loads(out)["verification"]["verdict"] == "pass"
+
+    def test_intersection_with_two_minkowski_members_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "m.roc"
+        path.write_text("var x1 >= 0 <= 10; var x2 >= 0 <= 10; max: x1 + x2;\n"
+                        f"c: 3*x1 + x2 <= 10 uncertain(Z=intersect({self.MINKOWSKI}, "
+                        f"intersect({self.MINKOWSKI}, ball(p=1, r=1))));\n")
+        assert main(["pipeline", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "roc: error: cannot sample intersect(minkowski, intersect): more than one "
+            "member has no membership test (a Minkowski sum, or an intersection that "
+            "holds one)\n")
+
     def test_verify_command(self, capsys):
         code, out = run_cli(capsys, "verify", EX1, "--samples", "100")
         assert code == 0

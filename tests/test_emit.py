@@ -189,6 +189,16 @@ class TestEmitJson:
             with pytest.raises(roc.DimensionError, match="must be finite"):
                 roc.model_from_json(dump.replace(finite, infinite))
 
+    def test_from_json_rejects_polytope_without_zero(self):
+        # regression: the dump loaded, and the two solve methods disagreed
+        # on it (4.0 against 2.0): only the parser required 0 in the set
+        src = ("var x >= 0 <= 10; max: x; "
+               "c: x <= 2 uncertain(on=[x], P=[[1]], Z=poly(D=[[1],[-1]], d=[1, 1]));")
+        d = json.loads(roc.emit_json(roc.parse_model(src)))
+        d["constraints"][0]["uncertainty"]["set"]["d"] = [-0.5, 1.0]  # z in [-1, -0.5]
+        with pytest.raises(roc.ModelError, match="contain 0"):
+            roc.model_from_json(json.dumps(d))
+
     def test_from_json_rejects_other_kinds(self):
         pre = roc.canonicalize(roc.parse_model("min: x; c: x >= 1;"))
         with pytest.raises(roc.ModelError):

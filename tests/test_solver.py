@@ -441,6 +441,20 @@ class TestPessimize:
             res = pessimize(uset, w)
             assert uset.contains(res.zstar, tol=1e-9), f"trial {trial}"
 
+    def test_two_and_inf_ball_points_are_the_dual_norm_formula(self):
+        # one formula gives both closed forms bit for bit, zero entries included
+        rng = np.random.default_rng(5)
+        for trial in range(50):
+            L = int(rng.integers(1, 6))
+            w = rng.normal(size=L) * (rng.uniform(size=L) < 0.7)
+            if not w.any():
+                w[0] = 1.0
+            r = rng.uniform(0.1, 3.0)
+            assert np.array_equal(pessimize(NormBall(2.0, r, L), w).zstar,
+                                  r * w / np.linalg.norm(w)), f"trial {trial}"
+            assert np.array_equal(pessimize(NormBall(INF, r, L), w).zstar,
+                                  r * np.sign(w)), f"trial {trial}"
+
     def test_zero_radius(self):
         res = pessimize(NormBall(2.0, 0.0, 2), np.array([5.0, 5.0]))
         assert res.value == 0.0
