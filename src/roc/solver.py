@@ -1,21 +1,24 @@
 """LP solving and pessimization oracles.
 
-A dense two-phase bounded-variable primal simplex solves the lowered linear
-models over their own columns: variable bounds are enforced by the ratio
-test, where an entering column may also just flip to its other bound, and
-"=" rows get a slack fixed at 0.  Its tableau is updated in place at each
-pivot and refactorized from the original data every REFACTOR_EVERY steps
-and before every terminal decision; entering columns are priced by
-Dantzig's rule, with Bland's anti-cycling rule as the fallback on a repeated
+A dense bounded-variable simplex solves the lowered linear models over
+their own columns: variable bounds are enforced by the ratio test, where an
+entering column may also just flip to its other bound, and "=" rows get a
+slack fixed at 0.  Every LP takes one sequence of steps on one tableau over
+[A | I].  A cold start is price-free dual simplex steps from the slack
+basis, which reach a feasible basis or prove that none exists, and no
+artificial column is ever added; primal steps then run to the optimum.  The
+tableau is updated in place at each pivot and refactorized from the
+original data every REFACTOR_EVERY steps and before every terminal
+decision; entering columns are priced by Dantzig's rule, and the dual and
+primal steps both fall back to Bland's anti-cycling rule on a repeated
 basis.  One pessimization-based cutting loop solves both the norm rows of
 lowered models and, as the independent oracle for every reformulation,
 canonical robust models directly.  It keeps one master tableau: a new cut is
 one appended row whose slack is basic, which leaves the optimal basis dual
-feasible, so bounded dual simplex steps restore primal feasibility and the
+feasible, so priced dual simplex steps restore primal feasibility and the
 primal simplex confirms the optimum.  A full pool evicts only a cut that
 does not bind, whose slack is basic, so the cut is deleted in place.  A
-dual phase that repeats a state or finds no entering column re-solves the
-master cold.
+dual phase that gives up re-solves the master cold.
 
 A polytope D z <= d is pessimized through the dual of max w^T z, the LP
 min d^T y s.t. D^T y = w, y >= 0, whose row duals are the worst z.  Its
@@ -106,24 +109,24 @@ def _deleted(view: np.ndarray, k: int, axis: int = 0) -> np.ndarray:
 
 
 class _Tableau:
-    """Dense bounded-variable simplex tableau, updated in place.
+    """Dense bounded-variable simplex tableau over [A | I], updated in place.
 
-    Every column has bounds lo <= x <= up with lo either 0 or -inf (the
-    set-up shifts finite lower bounds to 0), and `xn` holds where each
+    Column n + i is row i's slack, and the tableau starts at the slack
+    basis.  Every column has bounds lo <= x <= up with lo either 0 or -inf
+    (the set-up shifts finite lower bounds to 0), and `xn` holds where each
     nonbasic column rests: at 0, or at its upper bound.  T holds B^-1 A, the
     basic values B^-1 (b - N x_N) in its last column, and the reduced costs
-    and minus the objective in its last row.  A step either flips the
-    entering column to its other bound, which moves the basic values only,
-    or pivots: a Gauss-Jordan rank-1 update of T.  Each phase starts with
-    `rebuild` under its own cost.  A cutting loop keeps the tableau of an
-    optimal master: `add_row` appends a cut with its slack basic (one
-    vector-matrix product, counted as one in-place step), `drop_row` deletes
-    a cut whose slack is basic, and `dual_iterate` then `iterate` steps
-    re-optimize.  Every REFACTOR_EVERY steps, and before
-    every terminal decision (optimal, unbounded, phase-1 infeasibility,
-    degenerate cycle), T is refactorized from the untouched A_ext/b0 so
-    that the drift of the updates never decides an outcome.  A
-    refactorization that finds the basis singular after in-place pivots
+    under `cost` and minus the objective in its last row.  A step either
+    flips the entering column to its other bound, which moves the basic
+    values only, or pivots: a Gauss-Jordan rank-1 update of T, its cost row
+    included.  A cutting loop keeps the tableau of an optimal master:
+    `add_row` appends a cut with its slack basic (one vector-matrix product,
+    counted as one in-place step), `drop_row` deletes a cut whose slack is
+    basic, and `dual_iterate` then `iterate` steps re-optimize.  Every
+    REFACTOR_EVERY steps, and before every terminal decision (optimal,
+    unbounded, infeasible, degenerate cycle), T is refactorized from the
+    untouched A_ext/b0 so that the drift of the updates never decides an
+    outcome.  A refactorization that finds the basis singular after in-place pivots
     rolls back to the last factorized basis and refactorizes on every pivot
     for the rest of the solve: on ill-conditioned masters (near-parallel
     cuts) an updated tableau can pick a pivot that exact arithmetic rejects.
@@ -133,25 +136,24 @@ class _Tableau:
     """
 
     def __init__(self, A_ext: np.ndarray, b0: np.ndarray, lo: np.ndarray, up: np.ndarray,
-                 basis: np.ndarray):
+                 cost: np.ndarray):
         self.A_ext = A_ext
         self.b0 = b0
         self.lo = lo
         self.up = up
-        self.basis = basis
+        self.cost = cost
         self.m, n = A_ext.shape
+        self.basis = basis = np.arange(n - self.m, n)
         self.xn = np.zeros(n)
         self.T = np.zeros((self.m + 1, n + 1))
-        self.cost = np.zeros(n)
         self.sgn = np.zeros(n)
         self.factored = basis.copy()
         self.factored_xn = self.xn.copy()
         self.every = REFACTOR_EVERY
         self.updates = 0  # in-place steps since the last factorization
 
-    def rebuild(self, cost: np.ndarray) -> bool:
+    def rebuild(self) -> bool:
         """Refactorize at the current basis; True when it had to roll back."""
-        self.cost[:] = cost
         rolled_back = False
         try:
             self._factor()
@@ -211,7 +213,7 @@ class _Tableau:
         self.xn[col] = self.up[col] if step > 0 else 0.0
         self.sgn[col] = -self.sgn[col]
         if self.updates + 1 >= self.every:
-            return self.rebuild(self.cost)
+            return self.rebuild()
         self.T[:, -1] -= step * self.T[:, col]
         self._snap()
         self.updates += 1
@@ -232,7 +234,7 @@ class _Tableau:
         self.xn[col] = 0.0
         self.basis[row] = col
         if self.updates + 1 >= self.every:
-            return self.rebuild(self.cost)
+            return self.rebuild()
         # Gauss-Jordan on the last column turns the distance the leaving
         # value travels to its bound into the entering column's change
         T[row, -1] -= leave_at
@@ -284,7 +286,7 @@ class _Tableau:
         T[:, -2] = 0.0
         self.m = m + 1
         if self.updates + 1 >= self.every:
-            self.rebuild(self.cost)
+            self.rebuild()
             return
         T[m, :n] = new[:n]
         T[m, n] = 1.0
@@ -292,11 +294,12 @@ class _Tableau:
         self._snap()
         self.updates += 1
 
-    def drop_row(self, i: int, col: int):
-        """Delete row i and its slack `col`, basic in a freshly factorized
-        tableau.  The slack's unit column leaves the other rows of B^-1 [A|b]
+    def drop_row(self, i: int):
+        """Delete row i and its slack, basic in a freshly factorized tableau.
+        The slack's unit column leaves the other rows of B^-1 [A|b]
         independent of row i, so they stay exact, and the reduced basis
         counts as factorized."""
+        col = self.xn.size - self.m + i
         pos = int(np.flatnonzero(self.basis == col)[0])
         self.T = _deleted(_deleted(self.T, pos), col, axis=1)
         self.A_ext = _deleted(_deleted(self.A_ext, i), col, axis=1)
@@ -320,7 +323,7 @@ class _Tableau:
         A rollback empties `visited`, the states the caller has seen."""
         if not self.updates:
             return False
-        if self.rebuild(self.cost):
+        if self.rebuild():
             visited.clear()
         return True
 
@@ -334,23 +337,29 @@ class _Tableau:
             gain[self.free] = np.abs(reduced[self.free])
         return gain
 
-    def dual_iterate(self, pivots_left: int) -> tuple[str | None, int]:
-        """Dual simplex steps from a dual feasible basis until every basic
-        value is within its bounds.
+    def dual_iterate(self, pivots_left: int, priced: bool = True) -> tuple[str | None, int]:
+        """Dual simplex steps until every basic value is within its bounds.
 
-        The leaving row is the basic value furthest outside its bounds, and
-        it leaves at the bound it violates.  The entering column is one that
-        can move that value back, in the direction its bound allows (either
-        way when free), with the smallest |d_j / T[r, j]|, which keeps the
-        reduced costs dual feasible; exact ties go to the largest |T[r, j]|.
+        The basic value furthest outside its bounds leaves, at the bound it
+        violates.  Entering columns are those that can move it back, in the
+        direction their bounds allow (either way when free).  Priced steps
+        keep a dual feasible basis so: the smallest |d_j / T[r, j]| enters,
+        exact ties going to the largest |T[r, j]|.  Price-free steps
+        (`priced=False`) read every cost as 0, which makes every basis dual
+        feasible, so all entering columns tie.  On a repeated state (basis
+        and where the nonbasic columns rest) the steps refactorize, then
+        switch to Bland's rule: the out-of-bounds basic column with the
+        smallest index leaves, and the smallest index among the ties enters.
         Returns (None, steps) on a primal feasible, freshly factorized
         tableau, (ITERATION_LIMIT, steps) at the limit, and otherwise why
-        the dual steps gave up: a repeated state, or no entering column on a
-        freshly factorized tableau (the LP is then infeasible).
+        the steps gave up: a repeat under Bland's rule, or no entering
+        column on a freshly factorized tableau, which proves that no x
+        within the bounds meets the rows.
         """
         T = self.T
         m = self.m
         used = 0
+        bland = False
         visited: set[bytes] = set()
         while True:
             x = T[:m, -1]
@@ -363,25 +372,33 @@ class _Tableau:
                 return None, used
             key = self.basis.tobytes() + self.xn.tobytes()
             if key in visited:
-                return "the dual simplex repeated a basis", used
-            row = int(excess.argmax())
+                if self.refresh(visited):
+                    continue
+                if bland:
+                    return "the dual simplex repeated a basis", used
+                bland = True
+                visited.clear()
+                continue
+            # Bland: the out-of-bounds basic column with the smallest index
+            row = int(np.where(excess > 0.0, self.basis, INF).argmin() if bland else excess.argmax())
             rising = x[row] < blo[row]
             # how far x_row moves back toward its bounds per unit step of each
             # column in the direction its own bounds allow
             reach = T[row, :-1] * self.sgn if rising else -T[row, :-1] * self.sgn
             if self.free.size:
                 reach[self.free] = np.abs(T[row, self.free])
-            cols = (reach > PIVOT_TOL).nonzero()[0]
-            if cols.size == 0:
+            ties = (reach > PIVOT_TOL).nonzero()[0]
+            if ties.size == 0:
                 if self.refresh(visited):
                     continue
                 return "the dual simplex found no entering column", used
             if used >= pivots_left:
                 return ITERATION_LIMIT, used
             visited.add(key)
-            ratios = np.maximum(-self.gains()[cols], 0.0) / reach[cols]
-            ties = cols[ratios == ratios.min()]
-            col = int(ties[reach[ties].argmax()])
+            if priced:
+                ratios = np.maximum(-self.gains()[ties], 0.0) / reach[ties]
+                ties = ties[ratios == ratios.min()]
+            col = int(ties[0]) if bland else int(ties[reach[ties].argmax()])
             if self.pivot(row, col, blo[row] if rising else bup[row]):
                 visited.clear()
             used += 1
@@ -462,9 +479,9 @@ class _LP:
     bound (or, without one, a finite upper bound) shifts to 0, so every
     column starts at 0.  Fixed variables fold into the rhs.  The rows are
     the model's, then the appended ones; each gets one slack, in [0, inf) on
-    a "<=" row and [0, 0] on an "=" row.  The tableau of an optimal solve is
-    kept: `add_row` and `drop_row` edit it, and the next `solve` starts from
-    its basis with dual simplex steps.
+    a "<=" row and [0, 0] on an "=" row.  One tableau holds them all from
+    the start: `add_row` and `drop_row` edit it, and after an optimal solve
+    the next `solve` starts from its basis with dual simplex steps.
     """
 
     def __init__(self, model: DeterministicModel):
@@ -475,8 +492,8 @@ class _LP:
         self.index = {v.id: j for j, v in enumerate(self.vars)}
         self.at_zero = np.array([v.lower if v.lower > -INF else v.upper if v.upper < INF else 0.0
                                  for v in self.vars])
-        self.lo = np.array([0.0 if v.lower > -INF else -INF for v in cols])
-        self.up = np.array([v.upper for v in cols]) - self.at_zero[:n]
+        lo = np.array([0.0 if v.lower > -INF else -INF for v in cols])
+        up = np.array([v.upper for v in cols]) - self.at_zero[:n]
 
         m = len(model.linear_rows)
         self.A = np.zeros((m, n))
@@ -486,12 +503,13 @@ class _LP:
                 raise SolverError(f"row {row.id}: unsupported sense {row.sense!r}")
             self.A[i], offset = self.dense(row.lhs)
             self.b[i] = row.rhs - offset
-        self.slack_up = np.array([0.0 if row.sense == EQ else INF for row in model.linear_rows])
+        slack_up = np.array([0.0 if row.sense == EQ else INF for row in model.linear_rows])
         self.c, offset = self.dense(model.objective)
         self.c_offset = offset + model.objective.constant
-        self.rows: list[tuple[np.ndarray, float, float]] = []  # appended (a, b, slack up)
-        self.slacks: list[int] = []  # the tableau column of each appended row's slack
-        self.tab: _Tableau | None = None
+        self.tab = _Tableau(np.hstack([self.A, np.eye(m)]), self.b.copy(),
+                            np.concatenate([lo, np.zeros(m)]), np.concatenate([up, slack_up]),
+                            np.concatenate([self.c, np.zeros(m)]))
+        self.warm = False  # the tableau holds an optimal basis
 
     def dense(self, lhs: LinExpr) -> tuple[np.ndarray, float]:
         """Coefficients over the columns, and the value of lhs with every column at 0."""
@@ -506,91 +524,53 @@ class _LP:
 
     def add_row(self, a: np.ndarray, b: float, up: float = INF):
         """Append the row a x + s = b over the columns, its slack s in [0, up]."""
-        self.rows.append((a, b, up))
-        if self.tab is not None:
-            self.slacks.append(self.tab.xn.size)
-            self.tab.add_row(a, b, up)
+        self.tab.add_row(a, b, up)
 
     def drop_row(self, k: int):
         """Drop appended row k, whose slack is basic in the kept tableau, in place."""
-        del self.rows[k]
-        col = self.slacks.pop(k)
-        self.tab.drop_row(len(self.b) + k, col)
-        self.slacks = [j - (j > col) for j in self.slacks]
+        self.tab.drop_row(self.b.size + k)
 
     def set_rhs(self, b: np.ndarray):
         """Replace the model rows' right-hand sides over the columns.  The
         costs stay, so a kept basis stays dual feasible: it is refactorized
         under the new sides and the next `solve` starts from it."""
         self.b[:] = b
-        if self.tab is not None:
-            self.tab.b0[:self.b.size] = self.b
-            self.tab.rebuild(self.tab.cost)
+        self.tab.b0[:self.b.size] = b
+        if self.warm:
+            self.tab.rebuild()
 
     def solve(self, max_pivots: int = MAX_PIVOTS) -> tuple[str, int, str]:
         """(status, steps, how the solve started).
 
-        From a kept tableau: dual simplex steps until the basic values are
-        within their bounds, then primal steps until optimal.  A dual phase
-        that repeats a state or finds no entering column is dropped for the
-        cold solve, whose phase 1 then decides infeasibility; its steps
-        still count.
+        From a kept optimal basis: priced dual simplex steps until the basic
+        values are within their bounds.  Without one, or when those steps
+        give up, the solve starts cold: the tableau returns to the slack
+        basis with every column at 0, is factorized once, and price-free
+        dual steps reach a feasible basis or prove that none exists; a
+        repeat under Bland's rule raises SolverError.  Their pivots keep the
+        cost row current, so primal steps then run to the optimum with no
+        second factorization.  Every step counts, abandoned warm ones too.
         """
-        pivots, why = 0, None
-        if self.tab is not None:
-            self.tab.every = REFACTOR_EVERY  # a rollback's every-step refactorization lasts one solve
-            why, pivots = self.tab.dual_iterate(max_pivots)
-            if why is None:
-                status, used = self.tab.iterate(max_pivots - pivots)
-                return self._kept(status), pivots + used, "warm start"
-            if why == ITERATION_LIMIT:
-                return self._kept(why), pivots, "warm start"
-        origin = "cold start" if why is None else f"cold start: {why}"
-        status, used = self._cold(max_pivots - pivots)
-        return self._kept(status), pivots + used, origin
-
-    def _kept(self, status: str) -> str:
-        if status != OPTIMAL:
-            self.tab = None
-        return status
-
-    def _cold(self, max_pivots: int) -> tuple[str, int]:
-        """Two-phase primal simplex from the slack basis."""
-        A = np.vstack([self.A, *(a for a, _, _ in self.rows)])
-        b = np.concatenate([self.b, [rhs for _, rhs, _ in self.rows]])
-        slack_up = np.concatenate([self.slack_up, [up for _, _, up in self.rows]])
-        n, m = self.n, len(b)
-        # an artificial where the slack cannot absorb b, the residual at x_N = 0
-        arts = np.flatnonzero(np.where(slack_up == 0.0, b != 0.0, b < 0.0))
-        n_art = arts.size
-        art_cols = np.zeros((m, n_art))
-        art_cols[arts, np.arange(n_art)] = np.sign(b[arts])
-        basis = np.arange(n, n + m)
-        basis[arts] = n + m + np.arange(n_art)
-        self.tab = tab = _Tableau(np.hstack([A, np.eye(m), art_cols]), b,
-                                  np.concatenate([self.lo, np.zeros(m + n_art)]),
-                                  np.concatenate([self.up, slack_up, np.full(n_art, INF)]), basis)
-        self.slacks = list(range(n + len(self.b), n + m))
-        pivots = 0
-
-        # Phase 1: minimize the sum of artificials.
-        if n_art:
-            cost1 = np.zeros(n + m + n_art)
-            cost1[n + m:] = 1.0
-            tab.rebuild(cost1)
-            status, pivots = tab.iterate(max_pivots)
-            if status == ITERATION_LIMIT:
-                return status, pivots
-            if -tab.T[-1, -1] > FEAS_TOL:  # leftover artificial mass
-                return INFEASIBLE, pivots
-            # artificials are fixed at 0 from here on: one left basic at zero
-            # level blocks its row and leaves at the first pivot that moves it
-            tab.up[n + m:] = 0.0
-
-        # Phase 2: original objective.
-        tab.rebuild(np.concatenate([self.c, np.zeros(m + n_art)]))
-        status, used = tab.iterate(max_pivots - pivots)
-        return status, pivots + used
+        tab = self.tab
+        tab.every = REFACTOR_EVERY  # a rollback's every-step refactorization lasts one solve
+        pivots, why, origin = 0, None, "warm start"
+        if self.warm:
+            why, pivots = tab.dual_iterate(max_pivots)
+        if not self.warm or why not in (None, ITERATION_LIMIT):
+            origin = "cold start" if why is None else f"cold start: {why}"
+            tab.basis[:] = np.arange(self.n, tab.xn.size)
+            tab.xn[:] = 0.0
+            tab.rebuild()
+            why, used = tab.dual_iterate(max_pivots - pivots, priced=False)
+            pivots += used
+            if why == "the dual simplex repeated a basis":
+                raise SolverError(f"{origin}: the price-free dual simplex repeated a basis "
+                                  "under Bland's rule")
+            if why == "the dual simplex found no entering column":
+                why = INFEASIBLE
+        status, used = (why, 0) if why else tab.iterate(max_pivots - pivots)
+        self.warm = status == OPTIMAL
+        return status, pivots + used, origin
 
     def x(self) -> np.ndarray:
         """The column values at the kept tableau's basis."""
@@ -630,7 +610,7 @@ def support_lp(uset: Polyhedral) -> _LP:
 
 
 def simplex_solve(model: DeterministicModel, max_pivots: int = MAX_PIVOTS) -> Solution:
-    """Dense bounded-variable two-phase primal simplex over a purely linear model."""
+    """Dense bounded-variable simplex over a purely linear model, started cold."""
     if model.soc_rows:
         raise SolverError("simplex cannot handle norm rows; cut them first")
     lp = _LP(model)
@@ -793,7 +773,7 @@ def _cutting_loop(kind: str, master: DeterministicModel, gens: list[tuple],
             mine = [i for i, (gen, _) in enumerate(live) if gen == k]
             if len(mine) < CUT_POOL:
                 continue
-            loose = [i for i in mine if lp.slacks[i] in lp.tab.basis]
+            loose = [i for i in mine if lp.n + lp.b.size + i in lp.tab.basis]
             if loose:
                 lp.drop_row(loose[0])
                 del live[loose[0]]

@@ -491,6 +491,11 @@ class TestArtifacts:
     def test_bad_flags(self, capsys):
         assert main(["solve", EX1, "--tol", "0"]) == 1
         assert main(["solve", EX1, "--samples", "0"]) == 1
+        capsys.readouterr()
+        for argv in (["solve", EX1, "--tol", "nan"], ["pipeline", EX1, "--seed", "-5"]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("roc: error: "), argv
 
     def test_single_method_solve(self, capsys):
         code, out = run_cli(capsys, "solve", EX1, "--method", "reformulate")

@@ -210,9 +210,9 @@ class TestSimplex:
 
     @pytest.mark.parametrize("every", (1, 8, 50))
     def test_duplicate_equality_rows(self, every, monkeypatch):
-        # a second copy of an "=" row leaves a zero-level artificial (or the
-        # row's fixed slack) basic after phase 1; it must stay at 0 while
-        # phase 2 pushes x up against both copies
+        # a second copy of an "=" row leaves the row's fixed slack basic at 0
+        # after the price-free dual steps; it must stay at 0 while the primal
+        # steps push x up against both copies
         monkeypatch.setattr(roc.solver, "REFACTOR_EVERY", every)
         xs = [roc.VariableDecl("x", lower=0.0, upper=10.0), roc.VariableDecl("y", lower=0.0)]
         rows = [roc.Constraint("a", LinExpr.of({"x": 1.0, "y": 1.0}), "=", 4.0),
@@ -223,8 +223,50 @@ class TestSimplex:
         assert sol.status == "optimal"
         assert sol.values == {"x": 3.5, "y": 0.5}
         assert sol.objective == -3.5
+        lp = roc.solver._LP(det_model(xs, LinExpr.of({"x": -1.0}), rows))
+        assert lp.solve()[0] == "optimal"
+        # the slack basis [A | I] and nothing more: no artificial column
+        assert lp.tab.T.shape == (len(rows) + 1, len(xs) + len(rows) + 1)
         rows[1] = roc.Constraint("b", LinExpr.of({"x": 1.0, "y": 1.0}), "=", 5.0)
         assert roc.simplex_solve(det_model(xs, LinExpr.of({"x": -1.0}), rows)).status == "infeasible"
+
+    @staticmethod
+    def infeasible_at_slack_basis():
+        # both rows are violated at x = y = 0, the second one further
+        xs = [roc.VariableDecl("x", lower=0.0, upper=6.0), roc.VariableDecl("y", lower=0.0)]
+        rows = [roc.Constraint("r0", LinExpr.of({"x": 1.0, "y": 1.0}), ">=", 1.0),
+                roc.Constraint("r1", LinExpr.of({"x": 1.0, "y": 3.0}), ">=", 5.0),
+                roc.Constraint("r2", LinExpr.of({"x": 1.0, "y": -1.0}), "<=", 2.0)]
+        model = roc.Model(tuple(xs), "min", LinExpr.of({"x": 2.0, "y": 1.0}), tuple(rows))
+        return model, roc.lower_norms(roc.robustify_model(roc.canonicalize(model)))
+
+    @pytest.mark.parametrize("every", (1, 8, None))
+    def test_dual_steps_switch_to_bland(self, every, monkeypatch):
+        # a pivot that changes nothing repeats the state: the price-free dual
+        # steps switch from the most violated row to Bland's smallest basic
+        # index and still reach HiGHS's optimum
+        if every is not None:
+            monkeypatch.setattr(roc.solver, "REFACTOR_EVERY", every)
+        model, det = self.infeasible_at_slack_basis()
+        pivot = roc.solver._Tableau.pivot
+        calls = []
+
+        def stalled_once(tab, row, col, leave_at):
+            calls.append(row)
+            return False if len(calls) == 1 else pivot(tab, row, col, leave_at)
+
+        monkeypatch.setattr(roc.solver._Tableau, "pivot", stalled_once)
+        sol = roc.simplex_solve(det)
+        status, expected = scipy_solve(model)
+        assert sol.status == status == "optimal"
+        assert rel_close(sol.objective, expected, 1e-9)
+        assert calls[:2] == [1, 0]  # row 1 is the most violated; row 0's slack has the smaller index
+
+    def test_price_free_repeat_under_bland_is_an_error(self, monkeypatch):
+        # a cold phase that repeats a state under Bland's rule too gives up
+        monkeypatch.setattr(roc.solver._Tableau, "pivot", lambda tab, *a: False)
+        with pytest.raises(roc.SolverError, match="repeated a basis"):
+            roc.simplex_solve(self.infeasible_at_slack_basis()[1])
 
     def test_rows_over_fixed_variables_only(self):
         xs = [roc.VariableDecl("x", lower=2.0, upper=2.0), roc.VariableDecl("y", lower=0.0)]
@@ -360,8 +402,8 @@ class TestWarmStart:
         assert origins.count("warm start") == len(origins) > 10
 
     def test_cuts_that_empty_the_lp(self):
-        # the dual simplex finds no entering column; phase 1 of a cold solve
-        # decides the status
+        # the dual simplex finds no entering column; the price-free dual steps
+        # of a cold solve decide the status
         xs = [roc.VariableDecl("x", lower=0.0, upper=4.0), roc.VariableDecl("y", lower=0.0)]
         rows = [roc.Constraint("r", LinExpr.of({"x": 1.0, "y": 1.0}), "<=", 5.0)]
         objective = LinExpr.of({"x": -2.0, "y": -1.0})

@@ -1,19 +1,24 @@
 """Byte-for-byte parity of roc's command-line runs between two source trees.
 
     python3 tools/parity.py TREE OUT        run TREE's roc on every input, write digests to OUT
-    python3 tools/parity.py --compare A B   list the runs whose digests differ
+    python3 tools/parity.py --compare A B   list the runs whose digests differ, and how
 
 The inputs come from this checkout: every `fixtures/*.roc` and two
 intersections with Minkowski-sum members, through every CLI command under
 each of OPTIONS, and the seed-1 models of every `perfbench/gen.py` family,
-each through its benchmark command (`perfbench/run.py` WORKLOADS).  Each run
-calls TREE's `roc.cli.main` in this process, so one process tests one tree,
-and records the sha256 of its exit code, standard output, standard error and
-output file.  Every input is written under WORK first, a directory that
-does not depend on the tree, because a pipeline report embeds its input
-path.  BLAS runs on one thread, and no bytecode is written, so the tool
-leaves nothing in TREE or in perfbench/.  A run takes about ten seconds
-on a 2-core machine; it is not part of the test suite.
+each through its benchmark command (`perfbench/run.py` WORKLOADS).  Each
+run calls TREE's `roc.cli.main` in this process, so one process tests one
+tree, and records the sha256 of its exit code, standard output, standard
+error and output file, next to the exit code and, for a JSON report, its
+outcome: each method's status, objective and iterations, the oracle gap,
+and the verification verdict and max_violation.  For a run whose digest
+differs, `--compare` names the exit change, else a status or verdict
+change, else how far the objectives and iterations moved.  Every input is
+written under WORK first, a directory that does not depend on the tree,
+because a pipeline report embeds its input path.  BLAS runs on one thread,
+and no bytecode is written, so the tool leaves nothing in TREE or in
+perfbench/.  A run takes about ten seconds on a 2-core machine; it is not
+part of the test suite.
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 import traceback
@@ -76,6 +82,22 @@ def inputs(commands) -> list[tuple[str, Path, list[str]]]:
     return runs
 
 
+def outcome(text: str) -> dict | None:
+    """The outcome recorded for a report: None unless `text` is a JSON object."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(doc, dict):
+        return None
+    verification = doc if doc.get("kind") == "verification" else doc.get("verification") or {}
+    return {"methods": {name: {key: sol.get(key) for key in ("status", "objective", "iterations")}
+                        for name, sol in (doc.get("solutions") or {}).items()},
+            "verdict": verification.get("verdict"),
+            "max_violation": verification.get("max_violation"),
+            "oracle_gap": doc.get("oracle_gap")}
+
+
 def run_all(tree: Path) -> dict[str, dict]:
     """Digest of every run of `inputs` through the roc of `tree`."""
     sys.path.insert(0, str(tree / "src"))
@@ -106,23 +128,62 @@ def run_all(tree: Path) -> dict[str, dict]:
             digest = hashlib.sha256(f"{code}\n".encode())
             for text in (sys.stdout.getvalue(), sys.stderr.getvalue()):
                 digest.update(hashlib.sha256(text.encode("utf-8", "surrogateescape")).digest())
-            digest.update(out_file.read_bytes() if out_file.exists() else b"no output file")
-            results[run_id] = {"exit": code, "digest": digest.hexdigest()}
+            report = out_file.read_bytes() if out_file.exists() else None
+            digest.update(b"no output file" if report is None else report)
+            results[run_id] = {"exit": code, "digest": digest.hexdigest(),
+                               "outcome": outcome(sys.stdout.getvalue() if report is None
+                                                  else report.decode("utf-8", "replace"))}
     finally:
         sys.stdout, sys.stderr = stdout, stderr
     return results
 
 
+def _relative(p, q) -> float:
+    if p == q:
+        return 0.0
+    if p is None or q is None:
+        return math.inf
+    return abs(p - q) / max(abs(p), abs(q))
+
+
+def moved(x: dict, y: dict) -> str:
+    """What changed between two records of one run whose digests differ."""
+    if x["exit"] != y["exit"]:
+        return f"exit {x['exit']} -> {y['exit']}"
+    p, q = x.get("outcome"), y.get("outcome")
+    if not p or not q:
+        return f"exit {x['exit']}, output differs"
+    changes = [f"{name} status {p['methods'][name]['status']} -> {q['methods'][name]['status']}"
+               for name in p["methods"].keys() & q["methods"].keys()
+               if p["methods"][name]["status"] != q["methods"][name]["status"]]
+    if p["verdict"] != q["verdict"]:
+        changes.append(f"verdict {p['verdict']} -> {q['verdict']}")
+    if p["methods"].keys() != q["methods"].keys():
+        changes.append(f"methods {sorted(p['methods'])} -> {sorted(q['methods'])}")
+    if changes:
+        return ", ".join(sorted(changes))
+    parts = []
+    if p["methods"]:
+        rel = max(_relative(p["methods"][k]["objective"], q["methods"][k]["objective"])
+                  for k in p["methods"])
+        parts.append(f"objective within {rel:.1e}, iterations " + ", ".join(
+            f"{k} {p['methods'][k]['iterations']}→{q['methods'][k]['iterations']}"
+            for k in sorted(p["methods"])))
+    for key in ("max_violation", "oracle_gap"):
+        if p[key] != q[key]:
+            parts.append(f"{key} {p[key]!r} -> {q[key]!r}")
+    return ", ".join(parts) or f"exit {x['exit']}, output differs"
+
+
 def compare(a: dict[str, dict], b: dict[str, dict]) -> list[str]:
-    """One line per run that differs between the digests `a` and `b`."""
+    """One line per run that differs between the records `a` and `b`."""
     lines = []
     for run_id in sorted(a.keys() | b.keys()):
         x, y = a.get(run_id), b.get(run_id)
         if x is None or y is None:
             lines.append(f"{run_id}: only in {'B' if x is None else 'A'}")
-        elif x != y:
-            lines.append(f"{run_id}: exit {x['exit']} -> {y['exit']}" if x["exit"] != y["exit"]
-                         else f"{run_id}: exit {x['exit']}, output differs")
+        elif x["digest"] != y["digest"]:
+            lines.append(f"{run_id}: {moved(x, y)}")
     return lines
 
 
