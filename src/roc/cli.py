@@ -200,8 +200,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _configure_logging()
     args = _arg_parser().parse_args(argv)
-    if not args.tol > 0:  # nan included
-        print("roc: error: --tol must be positive", file=sys.stderr)
+    if not 0 < args.tol < float("inf"):  # nan included
+        print("roc: error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_ERROR
     if args.seed < 0:
         print("roc: error: --seed must be non-negative", file=sys.stderr)

@@ -8,13 +8,13 @@ slack fixed at 0.  Every LP takes one sequence of steps on one tableau over
 basis, which reach a feasible basis or prove that none exists, and no
 artificial column is ever added; primal steps then run to the optimum.  The
 tableau is updated in place at each pivot and refactorized from the
-original data every REFACTOR_EVERY steps and before every terminal
-decision; entering columns are priced by Dantzig's rule, and the dual and
-primal steps both fall back to Bland's anti-cycling rule on a repeated
-basis.  One pessimization-based cutting loop solves both the norm rows of
-lowered models and, as the independent oracle for every reformulation,
-canonical robust models directly.  It keeps one master tableau: a new cut is
-one appended row whose slack is basic, which leaves the optimal basis dual
+original data every REFACTOR_EVERY steps and before every decision.  One
+driver takes primal and dual steps alike, by Dantzig's rule until a basis
+repeats, then by Bland's; a repeat under Bland's rule is a numerical
+failure, not an optimum.  One pessimization-based cutting loop solves both
+the norm rows of lowered models and, as the independent oracle for every
+reformulation, canonical robust models directly.  It keeps one master
+tableau: a new cut is one appended row whose slack is basic, which leaves the optimal basis dual
 feasible, so priced dual simplex steps restore primal feasibility and the
 primal simplex confirms the optimum.  A full pool evicts only a cut that
 does not bind, whose slack is basic, so the cut is deleted in place.  A
@@ -31,6 +31,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -55,6 +56,10 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration-limit"
+# how a run of simplex steps ends, besides the statuses above
+WITHIN_BOUNDS = "within bounds"
+NO_ENTERING_COLUMN = "found no entering column"
+REPEATED = "repeated a basis"
 
 
 @dataclass(frozen=True)
@@ -122,11 +127,11 @@ class _Tableau:
     included.  A cutting loop keeps the tableau of an optimal master:
     `add_row` appends a cut with its slack basic (one vector-matrix product,
     counted as one in-place step), `drop_row` deletes a cut whose slack is
-    basic, and `dual_iterate` then `iterate` steps re-optimize.  Every
-    REFACTOR_EVERY steps, and before every terminal decision (optimal,
-    unbounded, infeasible, degenerate cycle), T is refactorized from the
-    untouched A_ext/b0 so that the drift of the updates never decides an
-    outcome.  A refactorization that finds the basis singular after in-place pivots
+    basic, and dual then primal `steps` re-optimize.  Every REFACTOR_EVERY
+    steps, and before every decision (optimal, unbounded, within bounds, no
+    entering column, repeated basis), T is refactorized from the untouched
+    A_ext/b0 so that the drift of the updates never decides an outcome.  A
+    refactorization that finds the basis singular after in-place pivots
     rolls back to the last factorized basis and refactorizes on every pivot
     for the rest of the solve: on ill-conditioned masters (near-parallel
     cuts) an updated tableau can pick a pivot that exact arithmetic rejects.
@@ -317,16 +322,6 @@ class _Tableau:
         self.factored_xn = _resized(self.factored_xn, self.xn.size)
         self.factored_xn[:] = self.xn
 
-    def refresh(self, visited: set[bytes]) -> bool:
-        """Refactorize a tableau updated in place, so that a terminal
-        decision is taken on a fresh one; False when it already was fresh.
-        A rollback empties `visited`, the states the caller has seen."""
-        if not self.updates:
-            return False
-        if self.rebuild():
-            visited.clear()
-        return True
-
     def gains(self) -> np.ndarray:
         """Objective decrease per unit move of each column off where it
         rests, in the direction it has room for (either way when free); no
@@ -337,139 +332,108 @@ class _Tableau:
             gain[self.free] = np.abs(reduced[self.free])
         return gain
 
-    def dual_iterate(self, pivots_left: int, priced: bool = True) -> tuple[str | None, int]:
-        """Dual simplex steps until every basic value is within its bounds.
+    def steps(self, pick, pivots_left: int, phase: str) -> tuple[str, int]:
+        """Take the steps `pick` chooses until it decides, or gives up.
 
-        The basic value furthest outside its bounds leaves, at the bound it
-        violates.  Entering columns are those that can move it back, in the
-        direction their bounds allow (either way when free).  Priced steps
-        keep a dual feasible basis so: the smallest |d_j / T[r, j]| enters,
-        exact ties going to the largest |T[r, j]|.  Price-free steps
-        (`priced=False`) read every cost as 0, which makes every basis dual
-        feasible, so all entering columns tie.  On a repeated state (basis
-        and where the nonbasic columns rest) the steps refactorize, then
-        switch to Bland's rule: the out-of-bounds basic column with the
-        smallest index leaves, and the smallest index among the ties enters.
-        Returns (None, steps) on a primal feasible, freshly factorized
-        tableau, (ITERATION_LIMIT, steps) at the limit, and otherwise why
-        the steps gave up: a repeat under Bland's rule, or no entering
-        column on a freshly factorized tableau, which proves that no x
-        within the bounds meets the rows.
+        `pick(bland)` returns either the next step, a call that flips or
+        pivots and returns True when a refactorization rolled back, or a
+        decision, which counts only on a freshly factorized tableau: on an
+        updated one the driver refactorizes and asks again.  On a repeated
+        state (basis and where the nonbasic columns rest) the driver
+        refactorizes, then switches `pick` to Bland's rule, and a repeat
+        under Bland's rule, which cannot cycle in exact arithmetic, gives
+        up.  Returns (decision, steps), (ITERATION_LIMIT, steps) at the
+        limit, or (REPEATED, steps).
         """
-        T = self.T
-        m = self.m
         used = 0
         bland = False
         visited: set[bytes] = set()
         while True:
-            x = T[:m, -1]
-            blo, bup = self.lo[self.basis], self.up[self.basis]
-            # positive only past a bound, and then (after _snap) by FEAS_TOL or more
-            excess = np.maximum(blo - x, x - bup)
-            if excess.max(initial=0.0) <= 0.0:
-                if self.refresh(visited):
+            step = pick(bland)
+            decided = isinstance(step, str)
+            key = None if decided else self.basis.tobytes() + self.xn.tobytes()
+            if decided or key in visited:
+                if self.updates:  # decisions and repeats count on a fresh tableau only
+                    if self.rebuild():
+                        visited.clear()
                     continue
-                return None, used
-            key = self.basis.tobytes() + self.xn.tobytes()
-            if key in visited:
-                if self.refresh(visited):
-                    continue
+                if decided:
+                    return step, used
                 if bland:
-                    return "the dual simplex repeated a basis", used
+                    return REPEATED, used
+                log.info("simplex: the %s steps repeated a basis; switching to Bland's rule "
+                         "(steps so far: %d)", phase, used)
                 bland = True
                 visited.clear()
                 continue
-            # Bland: the out-of-bounds basic column with the smallest index
-            row = int(np.where(excess > 0.0, self.basis, INF).argmin() if bland else excess.argmax())
-            rising = x[row] < blo[row]
-            # how far x_row moves back toward its bounds per unit step of each
-            # column in the direction its own bounds allow
-            reach = T[row, :-1] * self.sgn if rising else -T[row, :-1] * self.sgn
-            if self.free.size:
-                reach[self.free] = np.abs(T[row, self.free])
-            ties = (reach > PIVOT_TOL).nonzero()[0]
-            if ties.size == 0:
-                if self.refresh(visited):
-                    continue
-                return "the dual simplex found no entering column", used
             if used >= pivots_left:
                 return ITERATION_LIMIT, used
             visited.add(key)
-            if priced:
-                ratios = np.maximum(-self.gains()[ties], 0.0) / reach[ties]
-                ties = ties[ratios == ratios.min()]
-            col = int(ties[0]) if bland else int(ties[reach[ties].argmax()])
-            if self.pivot(row, col, blo[row] if rising else bup[row]):
+            if step():
                 visited.clear()
             used += 1
 
-    def iterate(self, pivots_left: int) -> tuple[str, int]:
-        """Step under the current cost until optimal/unbounded/limit.
+    def primal_pick(self, bland: bool):
+        """The next primal step, or OPTIMAL or UNBOUNDED.  The column with
+        the largest gain enters (under Bland's rule the improving one with the
+        smallest index); it flips to its other bound when its own range is
+        the shortest step, else the basic value that first reaches a bound
+        leaves, exact ties going to the smallest basic index."""
+        T, m = self.T, self.m
+        gain = self.gains()
+        candidates = (gain > PIVOT_TOL).nonzero()[0]
+        if candidates.size == 0:
+            return OPTIMAL
+        col = int(candidates[0]) if bland else int(gain.argmax())
+        rising = T[-1, col] < 0.0
+        g = T[:m, col] if rising else -T[:m, col]  # fall of each basic value per unit step
+        x = T[:m, -1]
+        blo, bup = self.lo[self.basis], self.up[self.basis]
+        ratios = np.full(m, INF)
+        np.divide(x - blo, g, out=ratios, where=g > PIVOT_TOL)
+        np.divide(x - bup, g, out=ratios, where=g < -PIVOT_TOL)
+        best = ratios.min(initial=INF)
+        span = self.up[col] - self.lo[col]  # the entering column's own range
+        if span <= best:
+            return UNBOUNDED if span == INF else partial(self.flip, col, span if rising else -span)
+        ties = (ratios == best).nonzero()[0]  # exact ties: anticycling needs them exact
+        row = int(ties[self.basis[ties].argmin()])
+        return partial(self.pivot, row, col, 0.0 if g[row] > 0.0 else bup[row])
 
-        Dantzig pricing (largest improving reduced cost, in whichever
-        direction the column has room to move) until a basis repeats; then
-        Bland's rule; on a further repeat only clearly improving columns may
-        enter.  Returns (status, steps used); a bound flip is one step.
+    def dual_pick(self, bland: bool, priced: bool):
+        """The next dual step, or WITHIN_BOUNDS or NO_ENTERING_COLUMN.
+
+        The basic value furthest outside its bounds (under Bland's rule the
+        out-of-bounds basic column with the smallest index) leaves at the
+        bound it violates.  The columns that can move it back in the
+        direction their bounds allow may enter; priced steps keep the basis
+        dual feasible, so the smallest |d_j / T[r, j]| enters, exact ties
+        going to the largest |T[r, j]| (under Bland's rule the smallest
+        index).  Price-free steps read every cost as 0, so all of them tie.
+        No entering column on a fresh tableau proves the rows infeasible.
         """
-        T = self.T
-        m = self.m
-        used = 0
-        threshold = PIVOT_TOL
-        bland = False
-        visited: set[bytes] = set()
-        while True:
-            reduced = T[-1, :-1]
-            gain = self.gains()
-            candidates = (gain > threshold).nonzero()[0]
-            if candidates.size == 0:
-                if self.refresh(visited):
-                    continue
-                return OPTIMAL, used
-            # noise-scale reduced costs can drive a cycle through refactorized
-            # tableaus; a repeated state (basis and where the nonbasic columns
-            # rest) means no exact-arithmetic progress is available under
-            # this rule, so switch to Bland's rule, and on a second repeat
-            # demand a clearly improving cost
-            key = self.basis.tobytes() + self.xn.tobytes()
-            if key in visited:
-                if self.refresh(visited):
-                    continue
-                if threshold >= FEAS_TOL:
-                    log.warning("simplex settled on a degenerate basis cycle")
-                    return OPTIMAL, used
-                if bland:
-                    threshold = FEAS_TOL
-                bland = True
-                visited.clear()
-                continue
-            # Bland: smallest index; Dantzig: largest gain
-            col = int(candidates[0]) if bland else int(gain.argmax())
-            rising = reduced[col] < 0.0
-            g = T[:m, col] if rising else -T[:m, col]  # fall of each basic value per unit step
-            x = T[:m, -1]
-            blo, bup = self.lo[self.basis], self.up[self.basis]
-            # each basic value falls to its lower bound or rises to its upper one
-            ratios = np.full(m, INF)
-            np.divide(x - blo, g, out=ratios, where=g > PIVOT_TOL)
-            np.divide(x - bup, g, out=ratios, where=g < -PIVOT_TOL)
-            best = ratios.min(initial=INF)
-            span = self.up[col] - self.lo[col]  # the entering column's own range
-            if best == INF and span == INF:
-                if self.refresh(visited):
-                    continue
-                return UNBOUNDED, used
-            if used >= pivots_left:
-                return ITERATION_LIMIT, used
-            visited.add(key)
-            if span <= best:
-                rolled_back = self.flip(col, span if rising else -span)
-            else:
-                ties = (ratios == best).nonzero()[0]  # exact ties: anticycling needs them exact
-                row = int(ties[self.basis[ties].argmin()])  # Bland: smallest basic index
-                rolled_back = self.pivot(row, col, 0.0 if g[row] > 0.0 else bup[row])
-            if rolled_back:
-                visited.clear()
-            used += 1
+        T, m = self.T, self.m
+        x = T[:m, -1]
+        blo, bup = self.lo[self.basis], self.up[self.basis]
+        # positive only past a bound, and then (after _snap) by FEAS_TOL or more
+        excess = np.maximum(blo - x, x - bup)
+        if excess.max(initial=0.0) <= 0.0:
+            return WITHIN_BOUNDS
+        row = int(np.where(excess > 0.0, self.basis, INF).argmin() if bland else excess.argmax())
+        rising = x[row] < blo[row]
+        # how far x_row moves back toward its bounds per unit step of each
+        # column in the direction its own bounds allow
+        reach = T[row, :-1] * self.sgn if rising else -T[row, :-1] * self.sgn
+        if self.free.size:
+            reach[self.free] = np.abs(T[row, self.free])
+        ties = (reach > PIVOT_TOL).nonzero()[0]
+        if ties.size == 0:
+            return NO_ENTERING_COLUMN
+        if priced:
+            ratios = np.maximum(-self.gains()[ties], 0.0) / reach[ties]
+            ties = ties[ratios == ratios.min()]
+        col = int(ties[0]) if bland else int(ties[reach[ties].argmax()])
+        return partial(self.pivot, row, col, blo[row] if rising else bup[row])
 
 
 class _LP:
@@ -495,20 +459,19 @@ class _LP:
         lo = np.array([0.0 if v.lower > -INF else -INF for v in cols])
         up = np.array([v.upper for v in cols]) - self.at_zero[:n]
 
-        m = len(model.linear_rows)
-        self.A = np.zeros((m, n))
-        self.b = np.zeros(m)
+        self.m = m = len(model.linear_rows)  # the model's rows; appended ones follow
+        A_ext = np.hstack([np.zeros((m, n)), np.eye(m)])
+        b = np.zeros(m)
         for i, row in enumerate(model.linear_rows):
             if row.sense not in (LE, EQ):
                 raise SolverError(f"row {row.id}: unsupported sense {row.sense!r}")
-            self.A[i], offset = self.dense(row.lhs)
-            self.b[i] = row.rhs - offset
+            A_ext[i, :n], offset = self.dense(row.lhs)
+            b[i] = row.rhs - offset
         slack_up = np.array([0.0 if row.sense == EQ else INF for row in model.linear_rows])
-        self.c, offset = self.dense(model.objective)
+        c, offset = self.dense(model.objective)
         self.c_offset = offset + model.objective.constant
-        self.tab = _Tableau(np.hstack([self.A, np.eye(m)]), self.b.copy(),
-                            np.concatenate([lo, np.zeros(m)]), np.concatenate([up, slack_up]),
-                            np.concatenate([self.c, np.zeros(m)]))
+        self.tab = _Tableau(A_ext, b, np.concatenate([lo, np.zeros(m)]),
+                            np.concatenate([up, slack_up]), np.concatenate([c, np.zeros(m)]))
         self.warm = False  # the tableau holds an optimal basis
 
     def dense(self, lhs: LinExpr) -> tuple[np.ndarray, float]:
@@ -528,14 +491,13 @@ class _LP:
 
     def drop_row(self, k: int):
         """Drop appended row k, whose slack is basic in the kept tableau, in place."""
-        self.tab.drop_row(self.b.size + k)
+        self.tab.drop_row(self.m + k)
 
     def set_rhs(self, b: np.ndarray):
         """Replace the model rows' right-hand sides over the columns.  The
         costs stay, so a kept basis stays dual feasible: it is refactorized
         under the new sides and the next `solve` starts from it."""
-        self.b[:] = b
-        self.tab.b0[:self.b.size] = b
+        self.tab.b0[:self.m] = b
         if self.warm:
             self.tab.rebuild()
 
@@ -546,31 +508,36 @@ class _LP:
         values are within their bounds.  Without one, or when those steps
         give up, the solve starts cold: the tableau returns to the slack
         basis with every column at 0, is factorized once, and price-free
-        dual steps reach a feasible basis or prove that none exists; a
-        repeat under Bland's rule raises SolverError.  Their pivots keep the
-        cost row current, so primal steps then run to the optimum with no
-        second factorization.  Every step counts, abandoned warm ones too.
+        dual steps reach a feasible basis or prove that none exists.  Their
+        pivots keep the cost row current, so primal steps then run to the
+        optimum with no second factorization.  A cold phase that repeats a
+        basis under Bland's rule has nothing to fall back on and raises
+        SolverError.  Every step counts, abandoned warm ones too.
         """
         tab = self.tab
         tab.every = REFACTOR_EVERY  # a rollback's every-step refactorization lasts one solve
-        pivots, why, origin = 0, None, "warm start"
+        pivots, status, origin, phase = 0, WITHIN_BOUNDS, "warm start", "priced dual"
         if self.warm:
-            why, pivots = tab.dual_iterate(max_pivots)
-        if not self.warm or why not in (None, ITERATION_LIMIT):
-            origin = "cold start" if why is None else f"cold start: {why}"
+            status, pivots = tab.steps(partial(tab.dual_pick, priced=True), max_pivots, phase)
+        if not self.warm or status in (NO_ENTERING_COLUMN, REPEATED):
+            origin = f"cold start: the dual simplex {status}" if self.warm else "cold start"
+            phase = "price-free dual"
             tab.basis[:] = np.arange(self.n, tab.xn.size)
             tab.xn[:] = 0.0
             tab.rebuild()
-            why, used = tab.dual_iterate(max_pivots - pivots, priced=False)
+            status, used = tab.steps(partial(tab.dual_pick, priced=False), max_pivots - pivots,
+                                     phase)
             pivots += used
-            if why == "the dual simplex repeated a basis":
-                raise SolverError(f"{origin}: the price-free dual simplex repeated a basis "
-                                  "under Bland's rule")
-            if why == "the dual simplex found no entering column":
-                why = INFEASIBLE
-        status, used = (why, 0) if why else tab.iterate(max_pivots - pivots)
+        if status == WITHIN_BOUNDS:
+            phase = "primal"
+            status, used = tab.steps(tab.primal_pick, max_pivots - pivots, phase)
+            pivots += used
+        if status == REPEATED:
+            raise SolverError(f"{origin}: the {phase} simplex repeated a basis under Bland's rule")
+        if status == NO_ENTERING_COLUMN:
+            status = INFEASIBLE
         self.warm = status == OPTIMAL
-        return status, pivots + used, origin
+        return status, pivots, origin
 
     def x(self) -> np.ndarray:
         """The column values at the kept tableau's basis."""
@@ -587,12 +554,12 @@ class _LP:
         return values
 
     def objective(self) -> float:
-        return float(self.c @ self.x() + self.c_offset)
+        return float(self.tab.cost[:self.n] @ self.x() + self.c_offset)
 
     def duals(self) -> np.ndarray:
         """The model rows' duals at the kept tableau's basis, a new array:
         minus the reduced costs of their slacks."""
-        return 0.0 - self.tab.T[-1, self.n:self.n + self.b.size]
+        return 0.0 - self.tab.T[-1, self.n:self.n + self.m]
 
     def solution(self, status: str, iterations: int) -> Solution:
         if status != OPTIMAL:
@@ -743,7 +710,7 @@ def _cutting_loop(kind: str, master: DeterministicModel, gens: list[tuple],
     A master LP that ends non-optimal is returned as it is.
     """
     lp = _LP(master)
-    seen = {_cut_key(a, b) for a, b in zip(lp.A, lp.b)}
+    seen = {_cut_key(a, b) for a, b in zip(lp.tab.A_ext[:lp.m, :lp.n], lp.tab.b0[:lp.m])}
     live: list[tuple[int, bytes]] = []  # (generator, key) of each appended cut, in row order
     rows = []  # each generator's base row over every variable, and the places of `on`
     for base, on, P, c, uset, rhs in gens:
@@ -773,7 +740,7 @@ def _cutting_loop(kind: str, master: DeterministicModel, gens: list[tuple],
             mine = [i for i, (gen, _) in enumerate(live) if gen == k]
             if len(mine) < CUT_POOL:
                 continue
-            loose = [i for i in mine if lp.n + lp.b.size + i in lp.tab.basis]
+            loose = [i for i in mine if lp.n + lp.m + i in lp.tab.basis]
             if loose:
                 lp.drop_row(loose[0])
                 del live[loose[0]]

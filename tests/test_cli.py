@@ -174,6 +174,19 @@ class TestExitCodes:
         assert report["verification"]["verdict"] == "pass"
         assert abs(report["objective"] - 63.0263686606) <= 1e-6 * 63.03
 
+    def test_dense_mixed_sign_pipeline_ok(self, capsys):
+        # the sign-row lowering of this model is one LP of a few hundred
+        # pivots, so the periodic refactorization runs within a solve; the
+        # pivot count is not pinned, since it depends on the BLAS threads
+        name = "dense_mixed_inf.roc"
+        expected = -scipy_solve_lowered(full_pipeline(fixture_text(name))[4])
+        code, out = run_cli(capsys, "pipeline", str(FIXTURES / name))
+        assert code == 0
+        report = json.loads(out)
+        assert report["verification"]["verdict"] == "pass"
+        assert report["solutions"]["reformulate"]["iterations"] > 100
+        assert rel_close(report["objective"], expected, 1e-9)
+
     def test_general_p_ball_pipeline_ok(self, capsys):
         # regression: p = 3 balls once exited 1 with "no lowering for q = 1.5"
         code, out = run_cli(capsys, "pipeline", str(FIXTURES / "ball3.roc"),
@@ -492,7 +505,8 @@ class TestArtifacts:
         assert main(["solve", EX1, "--tol", "0"]) == 1
         assert main(["solve", EX1, "--samples", "0"]) == 1
         capsys.readouterr()
-        for argv in (["solve", EX1, "--tol", "nan"], ["pipeline", EX1, "--seed", "-5"]):
+        for argv in (["solve", EX1, "--tol", "nan"], ["pipeline", EX1, "--seed", "-5"],
+                     ["pipeline", EX1, "--tol", "inf"]):
             assert main(argv) == 1
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("roc: error: "), argv

@@ -268,6 +268,48 @@ class TestSimplex:
         with pytest.raises(roc.SolverError, match="repeated a basis"):
             roc.simplex_solve(self.infeasible_at_slack_basis()[1])
 
+    @staticmethod
+    def feasible_at_slack_basis():
+        # min -x - 3y s.t. x + y <= 4, x + 3y <= 6: only primal steps run
+        xs = [roc.VariableDecl("x", lower=0.0), roc.VariableDecl("y", lower=0.0)]
+        rows = [roc.Constraint("r0", LinExpr.of({"x": 1.0, "y": 1.0}), "<=", 4.0),
+                roc.Constraint("r1", LinExpr.of({"x": 1.0, "y": 3.0}), "<=", 6.0)]
+        model = roc.Model(tuple(xs), "min", LinExpr.of({"x": -1.0, "y": -3.0}), tuple(rows))
+        return model, roc.lower_norms(roc.robustify_model(roc.canonicalize(model)))
+
+    @pytest.mark.parametrize("every", (1, 8, None))
+    def test_primal_steps_switch_to_bland(self, every, monkeypatch, caplog):
+        # a pivot that changes nothing repeats the state: the primal steps
+        # switch from Dantzig's y to Bland's smallest index x, log the switch
+        # once, and still reach HiGHS's optimum
+        if every is not None:
+            monkeypatch.setattr(roc.solver, "REFACTOR_EVERY", every)
+        model, det = self.feasible_at_slack_basis()
+        pivot = roc.solver._Tableau.pivot
+        entering = []
+
+        def stalled_once(tab, row, col, leave_at):
+            entering.append(col)
+            return False if len(entering) == 1 else pivot(tab, row, col, leave_at)
+
+        monkeypatch.setattr(roc.solver._Tableau, "pivot", stalled_once)
+        with caplog.at_level("INFO", logger="roc"):
+            sol = roc.simplex_solve(det)
+        status, expected = scipy_solve(model)
+        assert sol.status == status == "optimal"
+        assert rel_close(sol.objective, expected, 1e-9) and rel_close(expected, -6.0, 1e-12)
+        assert entering == [1, 0, 1]
+        switches = [r.getMessage() for r in caplog.records if "Bland" in r.getMessage()]
+        assert switches == ["simplex: the primal steps repeated a basis; switching to "
+                            "Bland's rule (steps so far: 1)"]
+
+    def test_primal_repeat_under_bland_is_an_error(self, monkeypatch):
+        # Bland's rule cannot cycle in exact arithmetic: a primal repeat under
+        # it is a numerical failure, never an optimum
+        monkeypatch.setattr(roc.solver._Tableau, "pivot", lambda tab, *a: False)
+        with pytest.raises(roc.SolverError, match="repeated a basis"):
+            roc.simplex_solve(self.feasible_at_slack_basis()[1])
+
     def test_rows_over_fixed_variables_only(self):
         xs = [roc.VariableDecl("x", lower=2.0, upper=2.0), roc.VariableDecl("y", lower=0.0)]
         for sense, rhs, status in (("=", 3.0, "infeasible"), ("=", 2.0, "optimal"),
