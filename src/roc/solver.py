@@ -8,23 +8,29 @@ slack fixed at 0.  Every LP takes one sequence of steps on one tableau over
 basis, which reach a feasible basis or prove that none exists, and no
 artificial column is ever added; primal steps then run to the optimum.  The
 tableau is updated in place at each pivot and refactorized from the
-original data every REFACTOR_EVERY steps and before every decision.  One
-driver takes primal and dual steps alike, by Dantzig's rule until a basis
-repeats, then by Bland's; a repeat under Bland's rule is a numerical
-failure, not an optimum.  One pessimization-based cutting loop solves both
-the norm rows of lowered models and, as the independent oracle for every
-reformulation, canonical robust models directly.  It keeps one master
-tableau: a new cut is one appended row whose slack is basic, which leaves the optimal basis dual
-feasible, so priced dual simplex steps restore primal feasibility and the
-primal simplex confirms the optimum.  A full pool evicts only a cut that
-does not bind, whose slack is basic, so the cut is deleted in place.  A
-dual phase that gives up re-solves the master cold.
+original data every REFACTOR_EVERY steps.  An optimum counts when a KKT
+certificate, two products with the original data, passes; an updated
+tableau that fails it is refactorized and asked again, and a fresh one that
+fails it is an error.  One driver takes primal and dual steps alike, by
+Dantzig's rule until a basis repeats, then by Bland's; a repeat under
+Bland's rule is a numerical failure, not an optimum.  One
+pessimization-based cutting loop solves both the norm rows of lowered
+models and, as the independent oracle for every reformulation, canonical
+robust models directly.  It keeps one master tableau: a new cut is one
+appended row whose slack is basic, which leaves the optimal basis dual
+feasible, so priced dual simplex steps restore primal feasibility or prove
+the master infeasible, and the primal simplex confirms the optimum.  A
+round that stays below REFACTOR_EVERY in-place steps takes no
+factorization.  A full pool evicts only a cut that does not bind, whose
+slack is basic, so the cut is deleted in place.  A dual phase that repeats
+a basis under Bland's rule re-solves the master cold.
 
 A polytope D z <= d is pessimized through the dual of max w^T z, the LP
 min d^T y s.t. D^T y = w, y >= 0, whose row duals are the worst z.  Its
 matrix and cost do not depend on w, so each set instance keeps one such LP
-(`Polyhedral.support_lp`): a call sets its right-hand sides to w, the last
-optimal basis stays dual feasible, and dual simplex steps re-enter it.
+(`Polyhedral.support_lp`): a call sets its right-hand sides to w, which
+moves the last optimal basis's values in place, that basis stays dual
+feasible, and dual simplex steps re-enter the optimum.
 """
 from __future__ import annotations
 
@@ -127,14 +133,18 @@ class _Tableau:
     included.  A cutting loop keeps the tableau of an optimal master:
     `add_row` appends a cut with its slack basic (one vector-matrix product,
     counted as one in-place step), `drop_row` deletes a cut whose slack is
-    basic, and dual then primal `steps` re-optimize.  Every REFACTOR_EVERY
-    steps, and before every decision (optimal, unbounded, within bounds, no
-    entering column, repeated basis), T is refactorized from the untouched
-    A_ext/b0 so that the drift of the updates never decides an outcome.  A
-    refactorization that finds the basis singular after in-place pivots
-    rolls back to the last factorized basis and refactorizes on every pivot
-    for the rest of the solve: on ill-conditioned masters (near-parallel
-    cuts) an updated tableau can pick a pivot that exact arithmetic rejects.
+    basic, and dual then primal `steps` re-optimize; `set_rhs` moves the
+    basic values under new right-hand sides (one matrix-vector product, one
+    in-place step).  Every REFACTOR_EVERY in-place steps, counted across
+    solves, T is refactorized from the untouched A_ext/b0.  An optimum on an
+    updated tableau counts only when `residuals`, computed from A_ext, b0
+    and cost, certify it, and the other decisions (unbounded, no entering
+    column, repeated basis) count on a fresh tableau only, so the drift of
+    the updates never decides an outcome.  A refactorization that finds the
+    basis singular after in-place pivots rolls back to the last factorized
+    basis and refactorizes on every pivot for the rest of the solve: on
+    ill-conditioned masters (near-parallel cuts) an updated tableau can pick
+    a pivot that exact arithmetic rejects.
     The tableau takes over the arrays it is given; those that grow become
     leading blocks of buffers with room to spare (`_resized`), so they are
     written in place rather than replaced.
@@ -299,12 +309,30 @@ class _Tableau:
         self._snap()
         self.updates += 1
 
+    def set_rhs(self, b: np.ndarray):
+        """Replace the leading rows' right-hand sides by `b`.  The basis
+        stays, and the basic values and the objective move by B^-1 (b -
+        b_old), B^-1 being T's slack columns; it counts as one in-place
+        step."""
+        delta = b - self.b0[:b.size]
+        self.b0[:b.size] = b
+        if self.updates + 1 >= self.every:
+            self.rebuild()
+            return
+        first = self.xn.size - self.m  # row i's slack is column first + i
+        self.T[:, -1] += self.T[:, first:first + b.size] @ delta
+        self._snap()
+        self.updates += 1
+
     def drop_row(self, i: int):
-        """Delete row i and its slack, basic in a freshly factorized tableau.
-        The slack's unit column leaves the other rows of B^-1 [A|b]
-        independent of row i, so they stay exact, and the reduced basis
-        counts as factorized."""
+        """Delete row i and its slack, which is basic.  The slack's unit
+        column leaves the other rows of B^-1 [A|b] independent of row i, so
+        they stay as they were.  The rollback point drops the slack too,
+        which leaves it a valid basis; where the slack is not basic in it,
+        the tableau is refactorized first."""
         col = self.xn.size - self.m + i
+        if col not in self.factored and self.rebuild():
+            raise SolverError("numerically singular simplex basis before a row is dropped")
         pos = int(np.flatnonzero(self.basis == col)[0])
         self.T = _deleted(_deleted(self.T, pos), col, axis=1)
         self.A_ext = _deleted(_deleted(self.A_ext, i), col, axis=1)
@@ -317,10 +345,9 @@ class _Tableau:
         self.xn = _deleted(self.xn, col)
         self.sgn = _deleted(self.sgn, col)  # `free` holds structural columns only: they come first
         self.m -= 1
-        self.factored = _resized(self.factored, self.m)
-        self.factored[:] = self.basis
-        self.factored_xn = _resized(self.factored_xn, self.xn.size)
-        self.factored_xn[:] = self.xn
+        self.factored = _deleted(self.factored, int(np.flatnonzero(self.factored == col)[0]))
+        self.factored[self.factored > col] -= 1
+        self.factored_xn = _deleted(self.factored_xn, col)
 
     def gains(self) -> np.ndarray:
         """Objective decrease per unit move of each column off where it
@@ -332,28 +359,61 @@ class _Tableau:
             gain[self.free] = np.abs(reduced[self.free])
         return gain
 
+    def residuals(self) -> tuple[float, float]:
+        """The primal and dual residuals of the basis T holds, from the
+        untouched A_ext, b0 and cost with two products and no solve.
+
+        With x the nonbasic values `xn` and the basic values T[:m, -1], the
+        primal residual is the larger of |A_ext x - b0| over 1 + |b0| and
+        how far a basic value lies past its bounds.  With y = -T[-1, slacks]
+        (the slacks' columns of A_ext are I), the dual residual is how far
+        T's cost row lies from cost - y A_ext, over 1 + |cost|.  Both within
+        FEAS_TOL, with no gain in the cost row, certify an optimum.
+        """
+        m, basis = self.m, self.basis
+        x = self.xn.copy()
+        xb = x[basis] = self.T[:m, -1]
+        scale = 1.0 + np.abs(self.b0).max(initial=0.0)
+        primal = max(np.abs(self.A_ext @ x - self.b0).max(initial=0.0) / scale,
+                     np.maximum(self.lo[basis] - xb, xb - self.up[basis]).max(initial=0.0))
+        y = -self.T[-1, -1 - m:-1]
+        dual = np.abs(self.cost - y @ self.A_ext - self.T[-1, :-1]).max(initial=0.0)
+        return float(primal), float(dual / (1.0 + np.abs(self.cost).max(initial=0.0)))
+
     def steps(self, pick, pivots_left: int, phase: str) -> tuple[str, int]:
         """Take the steps `pick` chooses until it decides, or gives up.
 
         `pick(bland)` returns either the next step, a call that flips or
         pivots and returns True when a refactorization rolled back, or a
-        decision, which counts only on a freshly factorized tableau: on an
-        updated one the driver refactorizes and asks again.  On a repeated
-        state (basis and where the nonbasic columns rest) the driver
-        refactorizes, then switches `pick` to Bland's rule, and a repeat
-        under Bland's rule, which cannot cycle in exact arithmetic, gives
-        up.  Returns (decision, steps), (ITERATION_LIMIT, steps) at the
-        limit, or (REPEATED, steps).
+        decision.  WITHIN_BOUNDS counts as it is: the primal steps that
+        follow end in an `optimal`, which counts when the tableau's
+        `residuals` certify it.  A certificate that fails on an updated
+        tableau, and every other decision there, is asked again after a
+        refactorization; one that fails on a fresh tableau raises
+        SolverError.  On a repeated state (basis and where the nonbasic
+        columns rest) the driver refactorizes, then switches `pick` to
+        Bland's rule, and a repeat under Bland's rule, which cannot cycle in
+        exact arithmetic, gives up.  Returns (decision, steps),
+        (ITERATION_LIMIT, steps) at the limit, or (REPEATED, steps).
         """
         used = 0
         bland = False
         visited: set[bytes] = set()
         while True:
             step = pick(bland)
+            if step == WITHIN_BOUNDS:
+                return step, used
+            if step == OPTIMAL:
+                primal, dual = self.residuals()
+                if max(primal, dual) <= FEAS_TOL:
+                    return step, used
+                if not self.updates:
+                    raise SolverError(f"the {phase} simplex's optimal basis fails its certificate: "
+                                      f"primal residual {primal:.3g}, dual residual {dual:.3g}")
             decided = isinstance(step, str)
             key = None if decided else self.basis.tobytes() + self.xn.tobytes()
             if decided or key in visited:
-                if self.updates:  # decisions and repeats count on a fresh tableau only
+                if self.updates:  # other decisions and repeats count on a fresh tableau only
                     if self.rebuild():
                         visited.clear()
                     continue
@@ -495,31 +555,34 @@ class _LP:
 
     def set_rhs(self, b: np.ndarray):
         """Replace the model rows' right-hand sides over the columns.  The
-        costs stay, so a kept basis stays dual feasible: it is refactorized
-        under the new sides and the next `solve` starts from it."""
-        self.tab.b0[:self.m] = b
-        if self.warm:
-            self.tab.rebuild()
+        costs stay, so a kept basis stays dual feasible: its basic values
+        move under the new sides in place, and the next `solve` starts
+        from it."""
+        self.tab.set_rhs(b)
 
     def solve(self, max_pivots: int = MAX_PIVOTS) -> tuple[str, int, str]:
         """(status, steps, how the solve started).
 
         From a kept optimal basis: priced dual simplex steps until the basic
-        values are within their bounds.  Without one, or when those steps
-        give up, the solve starts cold: the tableau returns to the slack
-        basis with every column at 0, is factorized once, and price-free
-        dual steps reach a feasible basis or prove that none exists.  Their
-        pivots keep the cost row current, so primal steps then run to the
-        optimum with no second factorization.  A cold phase that repeats a
-        basis under Bland's rule has nothing to fall back on and raises
-        SolverError.  Every step counts, abandoned warm ones too.
+        values are within their bounds, or until a row that no column can
+        move back, found on a fresh tableau, proves the rows infeasible.
+        Without a kept basis, or when those steps repeat a basis under
+        Bland's rule, the solve starts cold: the tableau returns to the
+        slack basis with every column at 0, is factorized once, and
+        price-free dual steps reach a feasible basis or prove that none
+        exists.  Either way the pivots keep the cost row current, so primal
+        steps then run to the optimum, which counts on its certificate: a
+        warm solve that stays below REFACTOR_EVERY in-place steps takes no
+        factorization.  A cold phase that repeats a basis under Bland's
+        rule has nothing to fall back on and raises SolverError.  Every
+        step counts, abandoned warm ones too.
         """
         tab = self.tab
         tab.every = REFACTOR_EVERY  # a rollback's every-step refactorization lasts one solve
         pivots, status, origin, phase = 0, WITHIN_BOUNDS, "warm start", "priced dual"
         if self.warm:
             status, pivots = tab.steps(partial(tab.dual_pick, priced=True), max_pivots, phase)
-        if not self.warm or status in (NO_ENTERING_COLUMN, REPEATED):
+        if not self.warm or status == REPEATED:
             origin = f"cold start: the dual simplex {status}" if self.warm else "cold start"
             phase = "price-free dual"
             tab.basis[:] = np.arange(self.n, tab.xn.size)

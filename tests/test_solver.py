@@ -2,15 +2,17 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import roc
+import roc.cli
 from roc import LinExpr, NormBall, Polyhedral, pessimize
 
-from support import (BALL_KINDS, GENERAL_P_KINDS, aggressive_instance, budget, dense_ball_text,
-                     fixture_text, full_pipeline, random_instance, random_set,
+from support import (BALL_KINDS, FIXTURES, GENERAL_P_KINDS, aggressive_instance, budget,
+                     dense_ball_text, fixture_text, full_pipeline, random_instance, random_set,
                      rel_close, scipy_solve, scipy_solve_lowered,
                      solve_canonical_both)
 
@@ -147,6 +149,28 @@ class TestSimplex:
         det = full_pipeline(dense_ball_text(12, 6, "inf", seed=12, mixed=True))[4]
         with pytest.raises(roc.SolverError, match="numerically singular"):
             roc.solve_deterministic(det)
+
+    def test_failed_certificate_on_fresh_tableau_is_an_error(self, monkeypatch, capsys):
+        # a refactorization that writes one wrong reduced cost makes the
+        # optimal basis fail its certificate on a fresh tableau: an error
+        # (exit 1) naming both residuals, not a silent optimum
+        factor = roc.solver._Tableau._factor
+
+        def corrupt(tab):
+            factor(tab)
+            # the wrong entry makes column 0 look worse than it is, so that
+            # no step follows it: at rest at 0 its gain falls, basic it has none
+            tab.T[-1, 0] += 1.0 if tab.sgn[0] <= 0.0 else -1.0
+
+        monkeypatch.setattr(roc.solver._Tableau, "_factor", corrupt)
+        det = full_pipeline(fixture_text("ex1.roc"))[4]
+        with pytest.raises(roc.SolverError,
+                           match=r"fails its certificate: primal residual \S+, dual residual (\S+)") \
+                as err:
+            roc.simplex_solve(replace(det, soc_rows=()))
+        assert float(re.search(r"dual residual (\S+)", str(err.value))[1]) > roc.solver.FEAS_TOL
+        assert roc.cli.main(["solve", str(FIXTURES / "ex1.roc")]) == 1
+        assert "fails its certificate" in capsys.readouterr().err
 
     def test_determinism_bitwise(self):
         cm = random_instance(99)
@@ -444,8 +468,8 @@ class TestWarmStart:
         assert origins.count("warm start") == len(origins) > 10
 
     def test_cuts_that_empty_the_lp(self):
-        # the dual simplex finds no entering column; the price-free dual steps
-        # of a cold solve decide the status
+        # the dual simplex finds no entering column on a fresh tableau, which
+        # proves the rows infeasible: no cold solve follows
         xs = [roc.VariableDecl("x", lower=0.0, upper=4.0), roc.VariableDecl("y", lower=0.0)]
         rows = [roc.Constraint("r", LinExpr.of({"x": 1.0, "y": 1.0}), "<=", 5.0)]
         objective = LinExpr.of({"x": -2.0, "y": -1.0})
@@ -457,7 +481,7 @@ class TestWarmStart:
             self.append(lp, row)
         status, steps, origin = lp.solve()
         assert status == self.highs_status(xs, objective, rows + cuts)[0] == "infeasible"
-        assert origin == "cold start: the dual simplex found no entering column"
+        assert origin == "warm start"
         assert steps >= 1  # the dual steps taken are counted
 
     def test_row_that_holds_takes_no_steps(self):
@@ -583,6 +607,29 @@ class TestPessimize:
                 # a cold instance may pick another optimal vertex, not another value
                 fresh = pessimize(Polyhedral(uset.D, uset.d), w).value
                 assert rel_close(fresh, res.value, 1e-12), (s, call)
+
+    @pytest.mark.parametrize("every", (1, 8, None))
+    def test_warm_set_rhs_against_cold(self, every, monkeypatch):
+        # a kept support LP moves its basic values by B^-1 dw in place;
+        # every value matches a fresh cold LP, and z* is a worst point
+        if every is not None:
+            monkeypatch.setattr(roc.solver, "REFACTOR_EVERY", every)
+        uset = budget(4, 2.0)
+        kept = roc.solver.support_lp(uset)
+        rng = np.random.default_rng(28)
+        for call in range(200):
+            w = rng.normal(size=uset.dim)
+            if call % 7 == 0:
+                w[rng.integers(0, uset.dim)] = 0.0
+            cold = roc.solver.support_lp(uset)
+            for lp in (kept, cold):
+                lp.set_rhs(w)
+                assert lp.solve()[0] == "optimal", call
+            value = kept.objective()
+            assert rel_close(value, cold.objective(), 1e-9), call
+            z = kept.duals()
+            assert np.all(uset.D @ z <= uset.d + 1e-9), call
+            assert abs(w @ z - value) <= 1e-9 * max(1.0, abs(value)), call
 
     def test_poly_zstar_is_a_copy(self):
         uset = budget(3, 1.0)
@@ -755,6 +802,29 @@ class TestCuttingPlane:
         assert [re.search(r"(\d+) cuts added, (\d+) evicted", line).groups() for line in lines] \
             == [("1", "0"), ("1", "0"), ("0", "0")]
 
+    def test_dropped_row_keeps_a_valid_rollback_point(self, monkeypatch):
+        # a cut evicted from an updated tableau leaves its slack's column in
+        # the basis a singular refactorization rolls back to, or is
+        # refactorized first: either way that basis stays square and regular
+        drop = roc.solver._Tableau.drop_row
+        kinds = []
+
+        def checked(tab, i):
+            kinds.append((tab.xn.size - tab.m + i in tab.factored, bool(tab.updates)))
+            drop(tab, i)
+            rollback = tab.A_ext[:, tab.factored]
+            assert rollback.shape == (tab.m, tab.m) and tab.factored_xn.size == tab.xn.size
+            assert np.linalg.matrix_rank(rollback) == tab.m
+
+        monkeypatch.setattr(roc.solver._Tableau, "drop_row", checked)
+        monkeypatch.setattr(roc.solver, "CUT_POOL", 2)
+        models = [full_pipeline(fixture_text("dense_ball2.roc"))[2]]
+        models += [random_instance(seed) for seed in (1, 13, 15, 18)]
+        for model in models:
+            ref, cut = solve_canonical_both(model)
+            assert ref.status == cut.status == "optimal"
+        assert {(True, True), (False, True)} <= set(kinds)
+
     @pytest.mark.parametrize("n, m, seed, r, feas_tol", [(20, 10, 1, 0.5, 1e-10),
                                                          (30, 15, 2, 2.0, roc.solver.FEAS_TOL)])
     def test_long_loops_converge(self, n, m, seed, r, feas_tol):
@@ -790,6 +860,83 @@ class TestCuttingPlane:
                 warm = [n for origin, n in rounds if origin == "warm start"]
                 assert len(warm) == len(rounds) - 1 > 0, name
                 assert max(warm) <= 1, name
+
+    @staticmethod
+    def fixture_loops():
+        """(fixture, solve, model) for both loops on ex1.roc and dense_ball2.roc."""
+        for name in ("ex1.roc", "dense_ball2.roc"):
+            _, _, post, _, det = full_pipeline(fixture_text(name))
+            yield name, roc.solve_deterministic, det
+            yield name, roc.cutting_plane_solve, post
+
+    def test_warm_round_takes_no_factorization(self, monkeypatch):
+        # a warm round whose in-place steps, counted from the last
+        # factorization, stay below REFACTOR_EVERY decides on its certificate
+        factors = []
+        factor = roc.solver._Tableau._factor
+        monkeypatch.setattr(roc.solver._Tableau, "_factor", lambda tab: factors.append(1) or factor(tab))
+        solve = roc.solver._LP.solve
+        rounds = []
+
+        def counted(lp, *args):
+            before, updates = len(factors), lp.tab.updates
+            out = solve(lp, *args)
+            rounds.append((out[2], updates + out[1], len(factors) - before))
+            return out
+
+        monkeypatch.setattr(roc.solver._LP, "solve", counted)
+        for name, solve_model, model in self.fixture_loops():
+            rounds.clear()
+            assert solve_model(model).status == "optimal"
+            below = [n for origin, steps, n in rounds
+                     if origin == "warm start" and steps < roc.solver.REFACTOR_EVERY]
+            assert below and not any(below), (name, rounds)
+
+    def test_planted_drift_refactorizes(self, monkeypatch):
+        # one basic value pushed 1e-4 off after the first in-place pivot of
+        # every solve: the certificate fails, the driver refactorizes, and
+        # the answer is the one without the drift
+        expected = [solve_model(model).objective for _, solve_model, model in self.fixture_loops()]
+        pivot, residuals = roc.solver._Tableau.pivot, roc.solver._Tableau.residuals
+        solve, factor = roc.solver._LP.solve, roc.solver._Tableau._factor
+        planted, failed = [], []  # failed: [updates at the failure, refactorized since]
+
+        def drifting(tab, row, col, leave_at):
+            rolled_back = pivot(tab, row, col, leave_at)
+            if tab.updates and not planted[-1]:
+                tab.T[row, -1] += 1e-4
+                planted[-1] = True
+            return rolled_back
+
+        def checked(tab):
+            primal, dual = residuals(tab)
+            if planted[-1] and max(primal, dual) > roc.solver.FEAS_TOL:
+                failed.append([tab.updates, False])
+            return primal, dual
+
+        def refactorized(tab):
+            if failed:
+                failed[-1][1] = True
+            factor(tab)
+
+        def fresh_flag(lp, *args):
+            planted.append(False)
+            return solve(lp, *args)
+
+        monkeypatch.setattr(roc.solver._Tableau, "pivot", drifting)
+        monkeypatch.setattr(roc.solver._Tableau, "residuals", checked)
+        monkeypatch.setattr(roc.solver._LP, "solve", fresh_flag)
+        monkeypatch.setattr(roc.solver._Tableau, "_factor", refactorized)
+        for (name, solve_model, model), objective in zip(self.fixture_loops(), expected):
+            planted.clear()
+            failed.clear()
+            sol = solve_model(model)
+            assert sol.status == "optimal"
+            assert rel_close(sol.objective, objective, 1e-9), name
+            # every planted drift fails its certificate on the updated
+            # tableau, and a refactorization follows
+            assert 0 < len(failed) == sum(planted), name
+            assert all(updates and refactored for updates, refactored in failed), name
 
     def test_near_parallel_cut_conditioning(self):
         # regression: accumulating near-parallel cone cuts once drifted the
