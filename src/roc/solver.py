@@ -22,8 +22,9 @@ feasible, so priced dual simplex steps restore primal feasibility or prove
 the master infeasible, and the primal simplex confirms the optimum.  A
 round that stays below REFACTOR_EVERY in-place steps takes no
 factorization.  A full pool evicts only a cut that does not bind, whose
-slack is basic, so the cut is deleted in place.  A dual phase that repeats
-a basis under Bland's rule re-solves the master cold.
+slack is basic, so the cut is deleted in place.  A warm dual phase that
+repeats a basis under Bland's rule restarts the solve cold; so does a basis
+found singular after in-place steps, and then every step refactorizes.
 
 A polytope D z <= d is pessimized through the dual of max w^T z, the LP
 min d^T y s.t. D^T y = w, y >= 0, whose row duals are the worst z.  Its
@@ -119,6 +120,10 @@ def _deleted(view: np.ndarray, k: int, axis: int = 0) -> np.ndarray:
     return view[:, :-1]
 
 
+class _Singular(Exception):
+    """A singular basis after in-place steps; the message is the cold start's origin."""
+
+
 class _Tableau:
     """Dense bounded-variable simplex tableau over [A | I], updated in place.
 
@@ -140,11 +145,10 @@ class _Tableau:
     updated tableau counts only when `residuals`, computed from A_ext, b0
     and cost, certify it, and the other decisions (unbounded, no entering
     column, repeated basis) count on a fresh tableau only, so the drift of
-    the updates never decides an outcome.  A refactorization that finds the
-    basis singular after in-place pivots rolls back to the last factorized
-    basis and refactorizes on every pivot for the rest of the solve: on
-    ill-conditioned masters (near-parallel cuts) an updated tableau can pick
-    a pivot that exact arithmetic rejects.
+    the updates never decides an outcome.  On ill-conditioned masters
+    (near-parallel cuts) an updated tableau can pick a pivot that exact
+    arithmetic rejects: a refactorization that finds the basis singular
+    after in-place steps raises `_Singular`, on which `_LP` starts cold.
     The tableau takes over the arrays it is given; those that grow become
     leading blocks of buffers with room to spare (`_resized`), so they are
     written in place rather than replaced.
@@ -158,34 +162,26 @@ class _Tableau:
         self.up = up
         self.cost = cost
         self.m, n = A_ext.shape
-        self.basis = basis = np.arange(n - self.m, n)
+        self.basis = np.arange(n - self.m, n)
         self.xn = np.zeros(n)
         self.T = np.zeros((self.m + 1, n + 1))
         self.sgn = np.zeros(n)
-        self.factored = basis.copy()
-        self.factored_xn = self.xn.copy()
         self.every = REFACTOR_EVERY
         self.updates = 0  # in-place steps since the last factorization
+        self.taken = 0  # steps taken by `steps` since `_LP.solve` set it to 0
 
-    def rebuild(self) -> bool:
-        """Refactorize at the current basis; True when it had to roll back."""
-        rolled_back = False
+    def rebuild(self):
+        """Refactorize at the current basis.  A singular basis is an error
+        on a fresh tableau; after in-place steps it raises `_Singular`."""
         try:
             self._factor()
         except np.linalg.LinAlgError as exc:
             if not self.updates:
                 raise SolverError("numerically singular simplex basis") from exc
-            log.info("simplex: singular basis after %d in-place pivots; rolling back "
-                     "and refactorizing on every pivot", self.updates)
-            self.basis[:] = self.factored
-            self.xn[:] = self.factored_xn
-            self.every = 1
-            self._factor()
-            rolled_back = True
+            reason = f"a singular basis after {self.updates} in-place steps"
+            log.info("simplex: %s; restarting the LP cold", reason)
+            raise _Singular(f"cold start: {reason}") from exc
         self.updates = 0
-        self.factored[:] = self.basis
-        self.factored_xn[:] = self.xn
-        return rolled_back
 
     def _factor(self):
         basis, lo, up = self.basis, self.lo, self.up
@@ -223,20 +219,20 @@ class _Tableau:
         near = (x > bup - DEGEN_TOL) & (x < bup + FEAS_TOL)
         x[near] = bup[near]
 
-    def flip(self, col: int, step: float) -> bool:
+    def flip(self, col: int, step: float):
         """Move nonbasic `col` by `step` onto its other bound; the basis stays."""
         self.xn[col] = self.up[col] if step > 0 else 0.0
         self.sgn[col] = -self.sgn[col]
         if self.updates + 1 >= self.every:
-            return self.rebuild()
+            self.rebuild()
+            return
         self.T[:, -1] -= step * self.T[:, col]
         self._snap()
         self.updates += 1
-        return False
 
-    def pivot(self, row: int, col: int, leave_at: float) -> bool:
+    def pivot(self, row: int, col: int, leave_at: float):
         """Bring `col` into the basis at `row`, the leaving column resting at
-        `leave_at`; True when a refactorization rolled back."""
+        `leave_at`."""
         T = self.T
         out = self.basis[row]
         start = self.xn[col]
@@ -249,7 +245,8 @@ class _Tableau:
         self.xn[col] = 0.0
         self.basis[row] = col
         if self.updates + 1 >= self.every:
-            return self.rebuild()
+            self.rebuild()
+            return
         # Gauss-Jordan on the last column turns the distance the leaving
         # value travels to its bound into the entering column's change
         T[row, -1] -= leave_at
@@ -265,7 +262,6 @@ class _Tableau:
         T[row, -1] += start
         self._snap()
         self.updates += 1
-        return False
 
     def add_row(self, a: np.ndarray, b: float, up: float):
         """Append the row a x + s = b, `a` over the leading columns, with a
@@ -286,13 +282,11 @@ class _Tableau:
         self.A_ext[m, n] = 1.0
         self.b0 = _pushed(self.b0, b)
         self.basis = _pushed(self.basis, n)
-        self.factored = _pushed(self.factored, n)
         self.lo = _pushed(self.lo, 0.0)
         self.up = _pushed(self.up, up)
         self.cost = _pushed(self.cost, 0.0)
         self.xn = _pushed(self.xn, 0.0)
         self.sgn = _pushed(self.sgn, 0.0)
-        self.factored_xn = _pushed(self.factored_xn, 0.0)
         # the basic values' column and the reduced-cost row move out by one
         # to make room for the slack's column and the new row
         T = self.T = _resized(self.T, m + 2, n + 2)
@@ -327,12 +321,8 @@ class _Tableau:
     def drop_row(self, i: int):
         """Delete row i and its slack, which is basic.  The slack's unit
         column leaves the other rows of B^-1 [A|b] independent of row i, so
-        they stay as they were.  The rollback point drops the slack too,
-        which leaves it a valid basis; where the slack is not basic in it,
-        the tableau is refactorized first."""
+        they stay as they were, and nothing is refactorized."""
         col = self.xn.size - self.m + i
-        if col not in self.factored and self.rebuild():
-            raise SolverError("numerically singular simplex basis before a row is dropped")
         pos = int(np.flatnonzero(self.basis == col)[0])
         self.T = _deleted(_deleted(self.T, pos), col, axis=1)
         self.A_ext = _deleted(_deleted(self.A_ext, i), col, axis=1)
@@ -345,9 +335,6 @@ class _Tableau:
         self.xn = _deleted(self.xn, col)
         self.sgn = _deleted(self.sgn, col)  # `free` holds structural columns only: they come first
         self.m -= 1
-        self.factored = _deleted(self.factored, int(np.flatnonzero(self.factored == col)[0]))
-        self.factored[self.factored > col] -= 1
-        self.factored_xn = _deleted(self.factored_xn, col)
 
     def gains(self) -> np.ndarray:
         """Objective decrease per unit move of each column off where it
@@ -380,33 +367,33 @@ class _Tableau:
         dual = np.abs(self.cost - y @ self.A_ext - self.T[-1, :-1]).max(initial=0.0)
         return float(primal), float(dual / (1.0 + np.abs(self.cost).max(initial=0.0)))
 
-    def steps(self, pick, pivots_left: int, phase: str) -> tuple[str, int]:
-        """Take the steps `pick` chooses until it decides, or gives up.
+    def steps(self, pick, max_steps: int, phase: str) -> str:
+        """Take the steps `pick` chooses, each counted in `taken`, until it
+        decides, or gives up.
 
         `pick(bland)` returns either the next step, a call that flips or
-        pivots and returns True when a refactorization rolled back, or a
-        decision.  WITHIN_BOUNDS counts as it is: the primal steps that
-        follow end in an `optimal`, which counts when the tableau's
-        `residuals` certify it.  A certificate that fails on an updated
-        tableau, and every other decision there, is asked again after a
-        refactorization; one that fails on a fresh tableau raises
+        pivots, or a decision.  WITHIN_BOUNDS counts as it is: the primal
+        steps that follow end in an `optimal`, which counts when the
+        tableau's `residuals` certify it.  A certificate that fails on an
+        updated tableau, and every other decision there, is asked again
+        after a refactorization; one that fails on a fresh tableau raises
         SolverError.  On a repeated state (basis and where the nonbasic
         columns rest) the driver refactorizes, then switches `pick` to
         Bland's rule, and a repeat under Bland's rule, which cannot cycle in
-        exact arithmetic, gives up.  Returns (decision, steps),
-        (ITERATION_LIMIT, steps) at the limit, or (REPEATED, steps).
+        exact arithmetic, gives up.  Returns the decision, ITERATION_LIMIT
+        once `taken` reaches `max_steps`, or REPEATED; a refactorization
+        that finds the basis singular raises `_Singular` out of it.
         """
-        used = 0
         bland = False
         visited: set[bytes] = set()
         while True:
             step = pick(bland)
             if step == WITHIN_BOUNDS:
-                return step, used
+                return step
             if step == OPTIMAL:
                 primal, dual = self.residuals()
                 if max(primal, dual) <= FEAS_TOL:
-                    return step, used
+                    return step
                 if not self.updates:
                     raise SolverError(f"the {phase} simplex's optimal basis fails its certificate: "
                                       f"primal residual {primal:.3g}, dual residual {dual:.3g}")
@@ -414,24 +401,22 @@ class _Tableau:
             key = None if decided else self.basis.tobytes() + self.xn.tobytes()
             if decided or key in visited:
                 if self.updates:  # other decisions and repeats count on a fresh tableau only
-                    if self.rebuild():
-                        visited.clear()
+                    self.rebuild()
                     continue
                 if decided:
-                    return step, used
+                    return step
                 if bland:
-                    return REPEATED, used
+                    return REPEATED
                 log.info("simplex: the %s steps repeated a basis; switching to Bland's rule "
-                         "(steps so far: %d)", phase, used)
+                         "(steps so far: %d)", phase, self.taken)
                 bland = True
                 visited.clear()
                 continue
-            if used >= pivots_left:
-                return ITERATION_LIMIT, used
+            if self.taken >= max_steps:
+                return ITERATION_LIMIT
             visited.add(key)
-            if step():
-                visited.clear()
-            used += 1
+            self.taken += 1
+            step()
 
     def primal_pick(self, bland: bool):
         """The next primal step, or OPTIMAL or UNBOUNDED.  The column with
@@ -546,8 +531,12 @@ class _LP:
         return a, offset
 
     def add_row(self, a: np.ndarray, b: float, up: float = INF):
-        """Append the row a x + s = b over the columns, its slack s in [0, up]."""
-        self.tab.add_row(a, b, up)
+        """Append the row a x + s = b over the columns, its slack s in [0, up];
+        a singular basis at a refactorization makes the next `solve` cold."""
+        try:
+            self.tab.add_row(a, b, up)
+        except _Singular:
+            self.warm = False
 
     def drop_row(self, k: int):
         """Drop appended row k, whose slack is basic in the kept tableau, in place."""
@@ -557,8 +546,11 @@ class _LP:
         """Replace the model rows' right-hand sides over the columns.  The
         costs stay, so a kept basis stays dual feasible: its basic values
         move under the new sides in place, and the next `solve` starts
-        from it."""
-        self.tab.set_rhs(b)
+        from it (cold, as after `add_row`, when the basis is singular)."""
+        try:
+            self.tab.set_rhs(b)
+        except _Singular:
+            self.warm = False
 
     def solve(self, max_pivots: int = MAX_PIVOTS) -> tuple[str, int, str]:
         """(status, steps, how the solve started).
@@ -573,34 +565,41 @@ class _LP:
         exists.  Either way the pivots keep the cost row current, so primal
         steps then run to the optimum, which counts on its certificate: a
         warm solve that stays below REFACTOR_EVERY in-place steps takes no
-        factorization.  A cold phase that repeats a basis under Bland's
-        rule has nothing to fall back on and raises SolverError.  Every
-        step counts, abandoned warm ones too.
+        factorization.  A basis found singular after in-place steps, in any
+        phase, restarts the solve cold, refactorized at every step, where a
+        singular basis is an error.  A cold phase that repeats a basis under
+        Bland's rule has nothing to fall back on and raises SolverError.
+        Every step counts, abandoned ones too.
         """
         tab = self.tab
-        tab.every = REFACTOR_EVERY  # a rollback's every-step refactorization lasts one solve
-        pivots, status, origin, phase = 0, WITHIN_BOUNDS, "warm start", "priced dual"
-        if self.warm:
-            status, pivots = tab.steps(partial(tab.dual_pick, priced=True), max_pivots, phase)
-        if not self.warm or status == REPEATED:
-            origin = f"cold start: the dual simplex {status}" if self.warm else "cold start"
-            phase = "price-free dual"
-            tab.basis[:] = np.arange(self.n, tab.xn.size)
-            tab.xn[:] = 0.0
-            tab.rebuild()
-            status, used = tab.steps(partial(tab.dual_pick, priced=False), max_pivots - pivots,
-                                     phase)
-            pivots += used
-        if status == WITHIN_BOUNDS:
-            phase = "primal"
-            status, used = tab.steps(tab.primal_pick, max_pivots - pivots, phase)
-            pivots += used
+        # a singular restart refactorizes at every step until the next solve
+        tab.every, tab.taken = REFACTOR_EVERY, 0
+        origin = "warm start" if self.warm else "cold start"
+        while True:
+            try:
+                status, phase = WITHIN_BOUNDS, "priced dual"
+                if origin == "warm start":
+                    status = tab.steps(partial(tab.dual_pick, priced=True), max_pivots, phase)
+                    if status == REPEATED:
+                        origin = f"cold start: the dual simplex {status}"
+                if origin != "warm start":
+                    phase = "price-free dual"
+                    tab.basis[:] = np.arange(self.n, tab.xn.size)
+                    tab.xn[:] = 0.0
+                    tab.rebuild()
+                    status = tab.steps(partial(tab.dual_pick, priced=False), max_pivots, phase)
+                if status == WITHIN_BOUNDS:
+                    phase = "primal"
+                    status = tab.steps(tab.primal_pick, max_pivots, phase)
+                break
+            except _Singular as exc:  # once: refactorized at every step, `updates` stays 0
+                origin, tab.every, tab.updates = str(exc), 1, 0
         if status == REPEATED:
             raise SolverError(f"{origin}: the {phase} simplex repeated a basis under Bland's rule")
         if status == NO_ENTERING_COLUMN:
             status = INFEASIBLE
         self.warm = status == OPTIMAL
-        return status, pivots, origin
+        return status, tab.taken, origin
 
     def x(self) -> np.ndarray:
         """The column values at the kept tableau's basis."""

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,16 +117,18 @@ class TestSimplex:
         assert sol.iterations > 8
         assert rel_close(sol.objective, scipy_solve_lowered(det), 1e-9)
 
-    def test_singular_refactorization_rolls_back(self, monkeypatch, caplog):
+    def test_singular_refactorization_restarts_cold(self, monkeypatch, caplog):
         # a refactorization that finds the basis singular after in-place
-        # pivots returns to the last factorized basis and refactorizes on
-        # every pivot from then on; the answer does not change
+        # steps restarts the solve cold, refactorizing at every step from
+        # then on; the answer does not change
         det = full_pipeline(dense_ball_text(12, 6, "inf", seed=12, mixed=True))[4]
         expected = roc.solve_deterministic(det)
         factor = roc.solver._Tableau._factor
-        failed = []
+        failed, every = [], []  # every: the interval at each factorization since
 
         def singular_once(tab):
+            if failed:
+                every.append(tab.every)
             if tab.updates and not failed:
                 failed.append(tab.updates)
                 raise np.linalg.LinAlgError("Singular matrix")
@@ -136,7 +139,9 @@ class TestSimplex:
         with caplog.at_level("INFO", logger="roc"):
             sol = roc.solve_deterministic(det)
         assert failed == [7]
-        assert "rolling back" in caplog.text
+        assert len(every) > 1 and set(every) == {1}
+        assert [r.getMessage() for r in caplog.records] == [
+            "simplex: a singular basis after 7 in-place steps; restarting the LP cold"]
         assert sol.status == "optimal"
         assert rel_close(sol.objective, expected.objective, 1e-9)
 
@@ -802,29 +807,6 @@ class TestCuttingPlane:
         assert [re.search(r"(\d+) cuts added, (\d+) evicted", line).groups() for line in lines] \
             == [("1", "0"), ("1", "0"), ("0", "0")]
 
-    def test_dropped_row_keeps_a_valid_rollback_point(self, monkeypatch):
-        # a cut evicted from an updated tableau leaves its slack's column in
-        # the basis a singular refactorization rolls back to, or is
-        # refactorized first: either way that basis stays square and regular
-        drop = roc.solver._Tableau.drop_row
-        kinds = []
-
-        def checked(tab, i):
-            kinds.append((tab.xn.size - tab.m + i in tab.factored, bool(tab.updates)))
-            drop(tab, i)
-            rollback = tab.A_ext[:, tab.factored]
-            assert rollback.shape == (tab.m, tab.m) and tab.factored_xn.size == tab.xn.size
-            assert np.linalg.matrix_rank(rollback) == tab.m
-
-        monkeypatch.setattr(roc.solver._Tableau, "drop_row", checked)
-        monkeypatch.setattr(roc.solver, "CUT_POOL", 2)
-        models = [full_pipeline(fixture_text("dense_ball2.roc"))[2]]
-        models += [random_instance(seed) for seed in (1, 13, 15, 18)]
-        for model in models:
-            ref, cut = solve_canonical_both(model)
-            assert ref.status == cut.status == "optimal"
-        assert {(True, True), (False, True)} <= set(kinds)
-
     @pytest.mark.parametrize("n, m, seed, r, feas_tol", [(20, 10, 1, 0.5, 1e-10),
                                                          (30, 15, 2, 2.0, roc.solver.FEAS_TOL)])
     def test_long_loops_converge(self, n, m, seed, r, feas_tol):
@@ -837,8 +819,9 @@ class TestCuttingPlane:
         assert rel_close(ref.objective, cut.objective, 1e-6)
 
     def test_warm_round_factorizes_once(self, monkeypatch):
-        # a warm round appends its cuts to the kept tableau in place; the one
-        # factorization is the refresh before the optimal verdict
+        # a warm round appends its cuts to the kept tableau in place and
+        # decides on its certificate: it factorizes only where its in-place
+        # steps reach REFACTOR_EVERY, here at most once
         factors = []
         factor = roc.solver._Tableau._factor
         monkeypatch.setattr(roc.solver._Tableau, "_factor", lambda tab: factors.append(1) or factor(tab))
@@ -902,11 +885,10 @@ class TestCuttingPlane:
         planted, failed = [], []  # failed: [updates at the failure, refactorized since]
 
         def drifting(tab, row, col, leave_at):
-            rolled_back = pivot(tab, row, col, leave_at)
+            pivot(tab, row, col, leave_at)
             if tab.updates and not planted[-1]:
                 tab.T[row, -1] += 1e-4
                 planted[-1] = True
-            return rolled_back
 
         def checked(tab):
             primal, dual = residuals(tab)
@@ -941,8 +923,8 @@ class TestCuttingPlane:
     def test_near_parallel_cut_conditioning(self):
         # regression: accumulating near-parallel cone cuts once drifted the
         # dense tableau off the feasible region (claimed optimum -29.78 vs
-        # true -35.07); refactorizing before every terminal decision keeps
-        # both routes agreeing
+        # true -35.07); an optimum that counts only on its certificate, and
+        # other decisions only on a fresh tableau, keep both routes agreeing
         cm = random_instance(9019)
         ref, cut = solve_canonical_both(cm)
         assert ref.status == cut.status == "optimal"
@@ -984,3 +966,135 @@ class TestCuttingPlane:
         cut = roc.cutting_plane_solve(post)
         assert ref.status == cut.status == "optimal"
         assert rel_close(ref.objective, cut.objective, 1e-6)
+
+
+SINGULAR = "cold start: a singular basis after {n} in-place steps"
+
+
+class TestSingularRestart:
+    # a refactorization that finds the basis singular after in-place steps,
+    # planted once per run at each place where one happens, restarts the LP
+    # cold: every run keeps its unplanted status and objective
+
+    @pytest.fixture
+    def plant(self, monkeypatch):
+        """`_factor` finds the basis singular once, at its first call after
+        in-place steps while `armed`; `fired` holds the in-place step count
+        it fired at, and `after` the origin of the first solve to return since."""
+        plant = SimpleNamespace(armed=False, fired=[], after=None, factors=0)
+        factor, solve = roc.solver._Tableau._factor, roc.solver._LP.solve
+
+        def singular_once(tab):
+            plant.factors += 1
+            if plant.armed and tab.updates and not plant.fired:
+                plant.fired.append(tab.updates)
+                raise np.linalg.LinAlgError("Singular matrix")
+            factor(tab)
+
+        def recorded(lp, *args):
+            out = solve(lp, *args)
+            if plant.fired and plant.after is None:
+                plant.after = out[2]
+            return out
+
+        monkeypatch.setattr(roc.solver._Tableau, "_factor", singular_once)
+        monkeypatch.setattr(roc.solver._LP, "solve", recorded)
+        return plant
+
+    @staticmethod
+    def arm_inside(monkeypatch, plant, name, when=lambda *args: True):
+        """Arm `plant` during each call of `_Tableau.<name>` that `when` accepts."""
+        method = getattr(roc.solver._Tableau, name)
+
+        def armed(tab, *args):
+            plant.armed = when(*args)
+            try:
+                return method(tab, *args)
+            finally:
+                plant.armed = False
+
+        monkeypatch.setattr(roc.solver._Tableau, name, armed)
+
+    @staticmethod
+    def runs(names=(), seeds=()):
+        """(name, solve, model) of both loops on each fixture and random instance."""
+        models = [(name, full_pipeline(fixture_text(name))[2]) for name in names]
+        models += [(f"random_instance({seed})", random_instance(seed)) for seed in seeds]
+        for name, model in models:
+            yield name, roc.solve_deterministic, roc.lower_norms(roc.robustify_model(model))
+            yield name, roc.cutting_plane_solve, model
+
+    @staticmethod
+    def planted_run(plant, caplog, run):
+        """run() with the plant fired once, logged once at `info` level;
+        the debug lines of its cutting rounds are in `caplog`."""
+        plant.armed = False
+        plant.fired.clear()
+        plant.after = None
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="roc"):
+            out = run()
+        assert len(plant.fired) == 1
+        assert [r.getMessage() for r in caplog.records if r.levelname == "INFO"] == [
+            f"simplex: a singular basis after {plant.fired[0]} in-place steps; "
+            "restarting the LP cold"]
+        return out
+
+    def check_loops(self, plant, caplog, runs, expected, origins):
+        """Each run planted keeps its unplanted outcome, and the first solve
+        since the plant fired started as one of `origins` says, which its
+        round's debug line shows."""
+        for (name, solve_model, model), want in zip(runs, expected):
+            sol = self.planted_run(plant, caplog, lambda: solve_model(model))
+            assert sol.status == want.status == "optimal", name
+            assert rel_close(sol.objective, want.objective, 1e-9), name
+            assert plant.after in [o.format(n=plant.fired[0]) for o in origins], name
+            assert any(f", {plant.after}, " in r.getMessage() for r in caplog.records), name
+
+    def test_in_the_primal_phase(self, plant, monkeypatch, caplog):
+        # the solve restarts cold, not from an older basis, which in the
+        # primal phase need not be primal feasible
+        monkeypatch.setattr(roc.solver, "REFACTOR_EVERY", 3)
+        runs = list(self.runs(("ex1.roc", "dense_ball2.roc"), (13,)))
+        expected = [solve_model(model) for _, solve_model, model in runs]
+        self.arm_inside(monkeypatch, plant, "steps", lambda pick, left, phase: phase == "primal")
+        self.check_loops(plant, caplog, runs, expected, [SINGULAR])
+
+    def test_in_add_row(self, plant, monkeypatch, caplog):
+        # a cut appended at the REFACTOR_EVERY interval finds the basis
+        # singular: the master's next solve starts cold
+        monkeypatch.setattr(roc.solver, "REFACTOR_EVERY", 4)
+        runs = list(self.runs(("ex1.roc", "dense_ball2.roc")))
+        expected = [solve_model(model) for _, solve_model, model in runs]
+        self.arm_inside(monkeypatch, plant, "add_row")
+        self.check_loops(plant, caplog, runs, expected, ["cold start"])
+
+    def test_in_set_rhs(self, plant, monkeypatch, caplog):
+        # a pessimization whose new right-hand sides reach the REFACTOR_EVERY
+        # interval finds the basis singular: its solve starts cold
+        rng = np.random.default_rng(6)
+        ws = [rng.normal(size=6) for _ in range(100)]
+        expected = [pessimize(budget(6, 2.0), w).value for w in ws]  # a cold LP each
+        self.arm_inside(monkeypatch, plant, "set_rhs")
+        uset = budget(6, 2.0)
+        values = self.planted_run(plant, caplog, lambda: [pessimize(uset, w).value for w in ws])
+        assert plant.after == "cold start"
+        assert all(rel_close(v, e, 1e-9) for v, e in zip(values, expected))
+
+    def test_after_an_eviction(self, plant, monkeypatch, caplog):
+        # the first refactorization after a cut is evicted finds the basis
+        # singular; the eviction itself never refactorizes
+        monkeypatch.setattr(roc.solver, "CUT_POOL", 2)
+        monkeypatch.setattr(roc.solver, "REFACTOR_EVERY", 4)
+        runs = list(self.runs(("dense_ball2.roc",), (15,)))
+        expected = [solve_model(model) for _, solve_model, model in runs]
+        drop = roc.solver._Tableau.drop_row
+
+        def evict(tab, i):
+            factors = plant.factors
+            drop(tab, i)
+            assert plant.factors == factors
+            plant.armed = True
+
+        monkeypatch.setattr(roc.solver._Tableau, "drop_row", evict)
+        self.check_loops(plant, caplog, runs, expected, [SINGULAR, "cold start"])
